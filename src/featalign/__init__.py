@@ -67,12 +67,10 @@ from .losses import (
     total_loss,
 )
 from .pose_init import (
-    EulerPose,
     InitConfig,
     InitError,
     corr_pose_init,
     correlation_map,
-    pose_regression_loss,
 )
 from .synth import (
     DatasetConfig,

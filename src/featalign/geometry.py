@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .feature_maps import in_margins
+
 # Depth of a camera-frame point must exceed this before projection.
 Z_MIN = 1e-6
 
@@ -257,12 +259,49 @@ def project(point: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
 WARP_MARGIN = 2.0
 
 
+def _warp_batch(
+    pixels: np.ndarray,
+    depths: np.ndarray,
+    rotations: np.ndarray,
+    translations: np.ndarray,
+    intrinsics: CameraIntrinsics,
+    margin: float = WARP_MARGIN,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """warp_points over a stack of M poses, (M, 3, 3) rotations + (M, 3) translations.
+
+    Returns ``(warped, valid, transformed)`` shaped (M, n, 2), (M, n) and
+    (M, n, 3). The stacked product applies each pose exactly as the
+    one-pose ``pts @ R.T + t`` would.
+    """
+    uv = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
+    d = np.asarray(depths, dtype=np.float64).reshape(-1)
+    if uv.shape[0] != d.shape[0]:
+        raise GeometryError("pixel and depth counts differ")
+
+    x = d * (uv[:, 0] - intrinsics.cx) / intrinsics.fx
+    y = d * (uv[:, 1] - intrinsics.cy) / intrinsics.fy
+    pts = np.stack([x, y, d], axis=1)
+    transformed = pts @ rotations.transpose(0, 2, 1) + translations[:, None]
+
+    z = transformed[..., 2]
+    valid = (d > 0.0) & (z > Z_MIN)
+    zsafe = np.where(valid, z, 1.0)
+    warped = np.stack(
+        [
+            intrinsics.fx * transformed[..., 0] / zsafe + intrinsics.cx,
+            intrinsics.fy * transformed[..., 1] / zsafe + intrinsics.cy,
+        ],
+        axis=-1,
+    )
+    valid &= in_margins(warped, intrinsics.width, intrinsics.height, margin)
+    return warped, valid, transformed
+
+
 def warp_points(
     pixels: np.ndarray,
     depths: np.ndarray,
     pose: SE3Pose,
     intrinsics: CameraIntrinsics,
-    target_intrinsics: CameraIntrinsics | None = None,
     margin: float = WARP_MARGIN,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Warp pixels with known depths through a relative pose, vectorized.
@@ -272,37 +311,12 @@ def warp_points(
     3-D points. Entries of ``warped``/``transformed`` for invalid points are
     present but must not be used. Pixels are invalid when their depth is
     non-positive, the transformed point falls at or behind the camera, or
-    the projection lies outside the margin-shrunk target image.
+    the projection lies outside the margin-shrunk image.
     """
-    if target_intrinsics is None:
-        target_intrinsics = intrinsics
-    uv = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
-    d = np.asarray(depths, dtype=np.float64).reshape(-1)
-    if uv.shape[0] != d.shape[0]:
-        raise GeometryError("pixel and depth counts differ")
-
-    x = d * (uv[:, 0] - intrinsics.cx) / intrinsics.fx
-    y = d * (uv[:, 1] - intrinsics.cy) / intrinsics.fy
-    pts = np.stack([x, y, d], axis=1)
-    transformed = pts @ pose.rotation.T + pose.translation
-
-    z = transformed[:, 2]
-    valid = (d > 0.0) & (z > Z_MIN)
-    zsafe = np.where(valid, z, 1.0)
-    warped = np.stack(
-        [
-            target_intrinsics.fx * transformed[:, 0] / zsafe + target_intrinsics.cx,
-            target_intrinsics.fy * transformed[:, 1] / zsafe + target_intrinsics.cy,
-        ],
-        axis=1,
+    warped, valid, transformed = _warp_batch(
+        pixels, depths, pose.rotation[None], pose.translation[None], intrinsics, margin
     )
-    valid &= (
-        (warped[:, 0] >= margin)
-        & (warped[:, 0] <= target_intrinsics.width - 1 - margin)
-        & (warped[:, 1] >= margin)
-        & (warped[:, 1] <= target_intrinsics.height - 1 - margin)
-    )
-    return warped, valid, transformed
+    return warped[0], valid[0], transformed[0]
 
 
 def warp_point(
@@ -310,7 +324,6 @@ def warp_point(
     depth: float,
     pose: SE3Pose,
     intrinsics: CameraIntrinsics,
-    target_intrinsics: CameraIntrinsics | None = None,
     margin: float = WARP_MARGIN,
 ) -> tuple[np.ndarray, bool]:
     """Warp a single pixel; returns the target pixel and a validity flag."""
@@ -319,7 +332,6 @@ def warp_point(
         np.array([depth]),
         pose,
         intrinsics,
-        target_intrinsics,
         margin,
     )
     return warped[0], bool(valid[0])

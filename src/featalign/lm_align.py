@@ -18,10 +18,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .feature_maps import FeatureMap, FeaturePyramid, gather_stencil
+from .feature_maps import (
+    SAMPLE_MARGIN,
+    FeatureMap,
+    FeaturePyramid,
+    gather_stencil,
+    in_margins,
+)
 from .geometry import (
     CameraIntrinsics,
     SE3Pose,
+    _warp_batch,
     boxplus,
     pose_twist_jacobian,
     warp_points,
@@ -153,11 +160,15 @@ class LMConfig:
         return LMConfig(**kwargs)
 
 
+def _huber(norms: np.ndarray, gamma: float) -> np.ndarray:
+    """Per-point Huber penalties of residual norms."""
+    s = np.asarray(norms, dtype=np.float64)
+    return np.where(s <= gamma, 0.5 * s * s, gamma * (s - 0.5 * gamma))
+
+
 def huber_energy(norms: np.ndarray, gamma: float) -> float:
     """Sum of Huber penalties over per-point residual norms."""
-    s = np.asarray(norms, dtype=np.float64)
-    quad = s <= gamma
-    return float(np.sum(np.where(quad, 0.5 * s * s, gamma * (s - 0.5 * gamma))))
+    return float(np.sum(_huber(norms, gamma)))
 
 
 def huber_weights(norms: np.ndarray, gamma: float) -> np.ndarray:
@@ -183,6 +194,43 @@ class ResidualEval:
         return int(self.valid.sum())
 
 
+def _residuals_batched(
+    ref: FeatureMap,
+    tgt: FeatureMap,
+    uv: np.ndarray,
+    depths: np.ndarray,
+    rotations: np.ndarray,
+    translations: np.ndarray,
+    intrinsics: CameraIntrinsics,
+    margin: float = 2.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Residuals of one level at a stack of M poses, (M, 3, 3) + (M, 3).
+
+    Returns ``(residuals, norms, valid, warped, transformed)`` shaped
+    (M, n, D), (M, n), (M, n), (M, n, 2) and (M, n, 3); invalid points hold
+    zero residuals and norms. The reference samples do not depend on the
+    pose and are gathered once per call.
+    """
+    uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
+    in_ref = in_margins(uv, ref.width, ref.height, SAMPLE_MARGIN)
+    warped, valid, transformed = _warp_batch(
+        uv, depths, rotations, translations, intrinsics, margin
+    )
+    valid &= in_ref
+
+    ref_vals = np.zeros((uv.shape[0], ref.channels))
+    if in_ref.any():
+        ref_vals[in_ref] = gather_stencil(ref, uv[in_ref]).values()
+    residuals = np.zeros(valid.shape + (tgt.channels,))
+    norms = np.zeros(valid.shape)
+    if valid.any():
+        tgt_vals = gather_stencil(tgt, warped[valid]).values()
+        res = tgt_vals - np.broadcast_to(ref_vals, residuals.shape)[valid]
+        residuals[valid] = res
+        norms[valid] = np.linalg.norm(res, axis=1)
+    return residuals, norms, valid, warped, transformed
+
+
 def compute_residuals(
     ref: FeatureMap,
     tgt: FeatureMap,
@@ -198,37 +246,21 @@ def compute_residuals(
     ``uv`` must already be in this level's pixel coordinates. Points whose
     warp leaves the margins, falls behind the camera, or whose own
     coordinates cannot be sampled in the reference are marked invalid and
-    contribute nothing.
+    contribute nothing. This is the one-pose case of the kernel the seed
+    grid search scores its candidates with.
     """
-    uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
-    n = uv.shape[0]
-    d = tgt.channels
-
-    in_ref = (
-        (uv[:, 0] >= 1.0)
-        & (uv[:, 0] <= ref.width - 2.0)
-        & (uv[:, 1] >= 1.0)
-        & (uv[:, 1] <= ref.height - 2.0)
+    residuals, norms, valid, warped, transformed = _residuals_batched(
+        ref, tgt, uv, depths, pose.rotation[None], pose.translation[None], intrinsics, margin
     )
-    warped, valid, transformed = warp_points(uv, depths, pose, intrinsics, margin=margin)
-    valid &= in_ref
-
-    residuals = np.zeros((n, d))
-    norms = np.zeros(n)
-    if np.any(valid):
-        ref_vals = gather_stencil(ref, uv[valid]).values()
-        tgt_vals = gather_stencil(tgt, warped[valid]).values()
-        res = tgt_vals - ref_vals
-        residuals[valid] = res
-        norms[valid] = np.linalg.norm(res, axis=1)
-    energy = huber_energy(norms[valid], huber_gamma) if np.any(valid) else 0.0
+    valid = valid[0]
+    norms = norms[0]
     return ResidualEval(
-        residuals=residuals,
+        residuals=residuals[0],
         valid=valid,
         norms=norms,
-        energy=energy,
-        warped=warped,
-        transformed=transformed,
+        energy=huber_energy(norms[valid], huber_gamma),
+        warped=warped[0],
+        transformed=transformed[0],
     )
 
 

@@ -33,7 +33,8 @@ from .feature_maps import (
     Stencil,
     bilinear_sample_many,
     gather_stencil,
-    stencil_weights,
+    stencil_gradients,
+    stencil_values,
 )
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -130,26 +131,17 @@ class PointGNSystem:
 # ---------------------------------------------------------------------------
 
 
-def _interp(corners, fu, fv):
-    return np.einsum("nc,ncd->nd", stencil_weights(fu, fv), corners)
-
-
 def _sq_dist_terms(corners, fu, fv, f_ref):
-    diff = _interp(corners, fu, fv) - f_ref
+    diff = stencil_values(corners, fu, fv) - f_ref
     return np.einsum("nd,nd->n", diff, diff)
 
 
 def _gn_pieces(corners, fu, fv, f_ref):
     """Residual, 2x2 Hessian and rhs for every row, from raw stencils."""
-    vals = _interp(corners, fu, fv)
-    fu_ = fu[:, None]
-    fv_ = fv[:, None]
-    du = (1.0 - fv_) * (corners[:, 1] - corners[:, 0]) + fv_ * (corners[:, 3] - corners[:, 2])
-    dv = (1.0 - fu_) * (corners[:, 2] - corners[:, 0]) + fu_ * (corners[:, 3] - corners[:, 1])
-    jac = np.stack([du, dv], axis=2)            # (n, D, 2)
-    res = vals - f_ref                          # (n, D)
-    hess = np.einsum("ndi,ndj->nij", jac, jac)  # (n, 2, 2)
-    rhs = -np.einsum("ndi,nd->ni", jac, res)    # (n, 2)
+    jac = stencil_gradients(corners, fu, fv)       # (n, D, 2)
+    res = stencil_values(corners, fu, fv) - f_ref  # (n, D)
+    hess = np.einsum("ndi,ndj->nij", jac, jac)     # (n, 2, 2)
+    rhs = -np.einsum("ndi,nd->ni", jac, res)       # (n, 2)
     return res, jac, hess, rhs
 
 

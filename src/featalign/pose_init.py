@@ -1,4 +1,4 @@
-"""Correlation-driven coarse pose seeding and a pose-distance metric.
+"""Correlation-driven coarse pose seeding.
 
 The solver needs a starting pose within a few pixels of the truth at the
 coarsest pyramid level. This module estimates one without any learned
@@ -11,14 +11,13 @@ so the seed can never be worse than not seeding at all.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .feature_maps import FeatureMap, FeaturePyramid, gather_stencil
-from .geometry import WARP_MARGIN, Z_MIN, CameraIntrinsics, SE3Pose
-from .lm_align import SparsePointSet, compute_residuals
+from .feature_maps import FeatureMap, FeaturePyramid
+from .geometry import CameraIntrinsics, SE3Pose
+from .lm_align import SparsePointSet, _huber, _residuals_batched, compute_residuals
 
 CORRELATION_BUDGET = 4096  # max pixels per map in the all-pairs product
 
@@ -103,85 +102,6 @@ def median_correlation_flow(cmap: CorrelationMap) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Euler-angle pose representation and the regression metric.
-# ---------------------------------------------------------------------------
-
-
-def _wrap_angle(a: np.ndarray) -> np.ndarray:
-    """Map angles to (-pi, pi]."""
-    return np.pi - np.mod(np.pi - a, 2.0 * np.pi)
-
-
-@dataclass(frozen=True)
-class EulerPose:
-    """Rotation as XYZ intrinsic Euler angles (radians) plus translation."""
-
-    r_euler: np.ndarray
-    t: np.ndarray
-
-    def __post_init__(self):
-        r = _wrap_angle(np.asarray(self.r_euler, dtype=np.float64).reshape(3))
-        t = np.asarray(self.t, dtype=np.float64).reshape(3)
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
-            raise InitError("Euler pose entries must be finite")
-        object.__setattr__(self, "r_euler", r)
-        object.__setattr__(self, "t", t)
-
-
-def _axis_rotations(a, b, c):
-    ca, sa = math.cos(a), math.sin(a)
-    cb, sb = math.cos(b), math.sin(b)
-    cc, sc = math.cos(c), math.sin(c)
-    rx = np.array([[1, 0, 0], [0, ca, -sa], [0, sa, ca]], dtype=np.float64)
-    ry = np.array([[cb, 0, sb], [0, 1, 0], [-sb, 0, cb]], dtype=np.float64)
-    rz = np.array([[cc, -sc, 0], [sc, cc, 0], [0, 0, 1]], dtype=np.float64)
-    return rx, ry, rz
-
-
-def euler_to_rotation(angles) -> np.ndarray:
-    """XYZ intrinsic: rotate about x, then the new y, then the new z."""
-    a, b, c = np.asarray(angles, dtype=np.float64).reshape(3)
-    rx, ry, rz = _axis_rotations(a, b, c)
-    return rx @ ry @ rz
-
-
-def rotation_to_euler(rotation: np.ndarray) -> np.ndarray:
-    """Inverse of euler_to_rotation away from the pitch gimbal lock."""
-    r = np.asarray(rotation, dtype=np.float64)
-    b = math.asin(np.clip(r[0, 2], -1.0, 1.0))
-    if abs(r[0, 2]) > 1.0 - 1e-10:
-        # gimbal lock: only a +/- c is observable; put everything in a
-        a = math.atan2(r[2, 1], r[1, 1])
-        c = 0.0
-    else:
-        a = math.atan2(-r[1, 2], r[2, 2])
-        c = math.atan2(-r[0, 1], r[0, 0])
-    return np.array([a, b, c])
-
-
-def euler_pose_from_se3(pose: SE3Pose) -> EulerPose:
-    return EulerPose(r_euler=rotation_to_euler(pose.rotation), t=pose.translation)
-
-
-def euler_pose_to_se3(pose: EulerPose) -> SE3Pose:
-    return SE3Pose(rotation=euler_to_rotation(pose.r_euler), translation=pose.t)
-
-
-def pose_regression_loss(
-    est: EulerPose, gt: EulerPose, rotation_weight: float = 10.0
-) -> float:
-    """Translation distance plus weighted Euler-angle distance.
-
-    The angle part is the plain Euclidean norm on the wrapped angle
-    triple, not a geodesic; with the default weight a 0.1 rad angle gap
-    costs as much as a full scene unit of translation.
-    """
-    dt = float(np.linalg.norm(est.t - gt.t))
-    dr = float(np.linalg.norm(est.r_euler - gt.r_euler))
-    return dt + rotation_weight * dr
-
-
-# ---------------------------------------------------------------------------
 # Grid-search pose seeding.
 # ---------------------------------------------------------------------------
 
@@ -202,6 +122,8 @@ class InitConfig:
             raise InitError("t_steps must be odd so the seed itself is a candidate")
         if self.yaw_step_deg <= 0 or self.pitch_step_deg <= 0:
             raise InitError("angle steps must be positive")
+        if self.huber_gamma <= 0:
+            raise InitError("huber_gamma must be positive")
 
     @staticmethod
     def from_mapping(data: dict) -> "InitConfig":
@@ -259,56 +181,20 @@ def _grid_energies(
     huber_gamma: float,
     min_valid_points: int,
 ) -> np.ndarray:
-    """Vectorized candidate_energy over (m, 3, 3) + (m, 3) candidates.
+    """candidate_energy over (m, 3, 3) + (m, 3) candidates, one per row.
 
-    Mirrors compute_residuals point for point: same reference-sample
-    validity, same warp margins, same Huber energy; kept in sync by a
-    parity test rather than shared code because this version amortizes the
-    reference gather over all candidates.
+    Scores every candidate with the residual kernel behind
+    compute_residuals, then takes the Huber mean over each row's valid
+    points. Rows are summed with their invalid (zero) entries in place, so
+    an energy can differ from candidate_energy's in the last bits.
     """
-    n = uv1.shape[0]
-    d = tgt_l1.channels
-    in_ref = (
-        (uv1[:, 0] >= 1.0)
-        & (uv1[:, 0] <= ref_l1.width - 2.0)
-        & (uv1[:, 1] >= 1.0)
-        & (uv1[:, 1] <= ref_l1.height - 2.0)
+    _, norms, valid, _, _ = _residuals_batched(
+        ref_l1, tgt_l1, uv1, depths, rotations, translations, k1
     )
-    ref_vals = np.zeros((n, d))
-    if in_ref.any():
-        ref_vals[in_ref] = gather_stencil(ref_l1, uv1[in_ref]).values()
-
-    x = depths * (uv1[:, 0] - k1.cx) / k1.fx
-    y = depths * (uv1[:, 1] - k1.cy) / k1.fy
-    pts = np.stack([x, y, depths], axis=1)
-
-    transformed = np.einsum("mij,nj->mni", rotations, pts) + translations[:, None, :]
-    z = transformed[:, :, 2]
-    valid = in_ref[None, :] & (depths > 0.0)[None, :] & (z > Z_MIN)
-    zsafe = np.where(valid, z, 1.0)
-    wu = k1.fx * transformed[:, :, 0] / zsafe + k1.cx
-    wv = k1.fy * transformed[:, :, 1] / zsafe + k1.cy
-    valid &= (
-        (wu >= WARP_MARGIN)
-        & (wu <= k1.width - 1 - WARP_MARGIN)
-        & (wv >= WARP_MARGIN)
-        & (wv <= k1.height - 1 - WARP_MARGIN)
-    )
-
-    norms = np.zeros(valid.shape)
-    if valid.any():
-        pos = np.stack([wu[valid], wv[valid]], axis=1)
-        tgt_vals = gather_stencil(tgt_l1, pos).values()
-        res = tgt_vals - np.broadcast_to(ref_vals, (valid.shape[0], n, d))[valid]
-        norms[valid] = np.linalg.norm(res, axis=1)
-
-    s = norms
-    huber = np.where(s <= huber_gamma, 0.5 * s * s, huber_gamma * (s - 0.5 * huber_gamma))
-    huber = np.where(valid, huber, 0.0)
     n_valid = valid.sum(axis=1)
     energies = np.full(valid.shape[0], np.inf)
     enough = n_valid >= min_valid_points
-    energies[enough] = huber.sum(axis=1)[enough] / n_valid[enough]
+    energies[enough] = _huber(norms, huber_gamma).sum(axis=1)[enough] / n_valid[enough]
     return energies
 
 

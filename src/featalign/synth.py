@@ -23,9 +23,11 @@ from .feature_maps import (
     FeatureMap,
     FeaturePyramid,
     PYRAMID_LEVELS,
+    SAMPLE_MARGIN,
     PyramidConfig,
     build_baseline_pyramid,
     gather_stencil,
+    in_margins,
     load_feature_pyramid,
     save_feature_pyramid,
 )
@@ -83,6 +85,10 @@ class PoseSampleError(SynthError):
 
 class DatasetError(SynthError):
     pass
+
+
+class TooFewPointsError(SynthError):
+    """Fewer than 8 sparse points clear the gradient threshold and margins."""
 
 
 @dataclass(frozen=True)
@@ -455,8 +461,7 @@ def exact_reference_pyramid(
 
         data = np.zeros((h_l * w_l, d), dtype=np.float64)
         # Shrink by the sampling margin so gather_stencil never raises.
-        inside = valid & (warped[:, 0] >= 1.0) & (warped[:, 0] <= w_l - 2.0)
-        inside &= (warped[:, 1] >= 1.0) & (warped[:, 1] <= h_l - 2.0)
+        inside = valid & in_margins(warped, w_l, h_l, SAMPLE_MARGIN)
         if inside.any():
             data[inside] = gather_stencil(tgt_level, warped[inside]).values()
         levels.append(FeatureMap(data.reshape(h_l, w_l, d)))
@@ -498,15 +503,8 @@ def build_pair(
     # 2-pixel cushion even there. Validity of the warped position is taken
     # from the correspondence field at the same cushion.
     h, w = scene.texture.shape
-    corr = view.correspondence
     cushion = 16.0
-    warped_inside = (
-        view.valid
-        & (corr[:, :, 0] >= cushion)
-        & (corr[:, :, 0] <= w - 1 - cushion)
-        & (corr[:, :, 1] >= cushion)
-        & (corr[:, :, 1] <= h - 1 - cushion)
-    )
+    warped_inside = view.valid & in_margins(view.correspondence, w, h, cushion)
     points = select_sparse_points(
         view.image,
         scene.depth,
@@ -517,7 +515,7 @@ def build_pair(
         margin=cushion,
     )
     if len(points) < 8:
-        raise SynthError(f"only {len(points)} usable sparse points (need 8 or more)")
+        raise TooFewPointsError(f"only {len(points)} usable sparse points (need 8 or more)")
 
     return BenchmarkPair(
         ref_pyramid=ref_pyramid,
@@ -578,25 +576,43 @@ def dataset_config_from_mapping(mapping, out_dir: str) -> DatasetConfig:
     )
 
 
-def _pair_streams(base_seed: int, index: int):
-    """Independent, reproducible RNG streams for one pair."""
-    ss = np.random.SeedSequence([base_seed, index])
+# Draws per pair before a scene without enough usable sparse points
+# aborts the dataset.
+PAIR_ATTEMPTS = 4
+
+
+def _pair_streams(base_seed: int, index: int, attempt: int):
+    """Independent, reproducible RNG streams for one draw of one pair.
+
+    A trailing zero word leaves a SeedSequence unchanged, so attempt 0
+    draws the streams of ``SeedSequence([base_seed, index])``.
+    """
+    ss = np.random.SeedSequence([base_seed, index, attempt])
     return [np.random.default_rng(child) for child in ss.spawn(3)]
 
 
 def generate_pair(config: DatasetConfig, index: int) -> BenchmarkPair:
-    scene_rng, pose_rng, select_rng = _pair_streams(config.base_seed, index)
-    scene = generate_scene(scene_rng, config.scene, seed=index)
+    """Draw pair ``index``; a scene that leaves too few sparse points is
+    redrawn from the next attempt's streams, up to PAIR_ATTEMPTS draws."""
     magnitude_class = config.classes[index % len(config.classes)]
-    pose = sample_pose_perturbation(pose_rng, magnitude_class, scene)
-    return build_pair(
-        scene,
-        pose,
-        select_rng,
-        magnitude_class=magnitude_class,
-        n_points=config.n_points,
-        photometric=config.photometric,
-        seed=index,
+    for attempt in range(PAIR_ATTEMPTS):
+        scene_rng, pose_rng, select_rng = _pair_streams(config.base_seed, index, attempt)
+        scene = generate_scene(scene_rng, config.scene, seed=index)
+        pose = sample_pose_perturbation(pose_rng, magnitude_class, scene)
+        try:
+            return build_pair(
+                scene,
+                pose,
+                select_rng,
+                magnitude_class=magnitude_class,
+                n_points=config.n_points,
+                photometric=config.photometric,
+                seed=index,
+            )
+        except TooFewPointsError as exc:
+            error = exc
+    raise TooFewPointsError(
+        f"pair {index}: too few usable sparse points in {PAIR_ATTEMPTS} draws (last: {error})"
     )
 
 
@@ -689,7 +705,3 @@ def load_pair_entry(entry: dict, root: str):
     )
     return ref, tgt, points, pose, intrinsics
 
-
-def pair_for_eval(pair: BenchmarkPair):
-    """The tuple shape load_pair_entry returns, from an in-memory pair."""
-    return pair.ref_pyramid, pair.tgt_pyramid, pair.points, pair.gt_pose, pair.intrinsics

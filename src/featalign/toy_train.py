@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .feature_maps import FeatureMap, build_baseline_pyramid, gather_stencil
+from .feature_maps import (
+    SAMPLE_MARGIN,
+    FeatureMap,
+    build_baseline_pyramid,
+    gather_stencil,
+    in_margins,
+)
 from .geometry import SE3Pose, boxplus, se3_exp, warp_points
 from .lm_align import LMConfig, SparsePointSet, align_level
 from .losses import LossConfig, LossError, loss_gradient_fd, sample_batch, total_loss
@@ -178,16 +184,14 @@ def make_toy_training_set(
         view = warp_scene(scene, pose)
 
         warped, valid, _ = warp_points(grid_uv, grid_depth, pose, k)
-        inside = valid & (warped[:, 0] >= 1.0) & (warped[:, 0] <= w - 2.0)
-        inside &= (warped[:, 1] >= 1.0) & (warped[:, 1] <= h - 2.0)
+        inside = valid & in_margins(warped, w, h, SAMPLE_MARGIN)
         noise = rng.normal(0.0, ref_noise, size=(h, w, channels)) if ref_noise > 0 else np.zeros((h, w, channels))
 
         corr = view.correspondence
         inner = view.valid.copy()
         inner[:8, :] = inner[-8:, :] = False
         inner[:, :8] = inner[:, -8:] = False
-        inner &= (corr[:, :, 0] >= 8) & (corr[:, :, 0] <= w - 9)
-        inner &= (corr[:, :, 1] >= 8) & (corr[:, :, 1] <= h - 9)
+        inner &= in_margins(corr, w, h, 8)
         vv, uu = np.nonzero(inner)
         pool = np.stack(
             [uu.astype(np.float64), vv.astype(np.float64), corr[vv, uu, 0], corr[vv, uu, 1]],

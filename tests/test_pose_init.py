@@ -1,4 +1,4 @@
-"""Tests for correlation seeding and the Euler pose metric."""
+"""Tests for correlation seeding."""
 
 import math
 
@@ -7,23 +7,17 @@ import pytest
 
 from featalign.feature_maps import FeatureMap
 from featalign.geometry import SE3Pose, se3_exp
-from featalign.lm_align import SparsePointSet
+from featalign.lm_align import SparsePointSet, compute_residuals
 from featalign.pose_init import (
     CORRELATION_BUDGET,
     CorrelationMap,
-    EulerPose,
     InitConfig,
     InitError,
     _grid_energies,
     candidate_energy,
     corr_pose_init,
     correlation_map,
-    euler_pose_from_se3,
-    euler_pose_to_se3,
-    euler_to_rotation,
     median_correlation_flow,
-    pose_regression_loss,
-    rotation_to_euler,
 )
 from featalign.synth import SceneConfig, build_pair, generate_scene, mean_flow, sample_pose_perturbation
 
@@ -105,82 +99,53 @@ class TestCorrelationMap:
         assert median_correlation_flow(cmap) == (0.0, 0.0)
 
 
-class TestEulerPose:
-    def test_angles_wrap_into_half_open_interval(self):
-        p = EulerPose(r_euler=[1.5 * math.pi, -math.pi, math.pi], t=[0, 0, 0])
-        np.testing.assert_allclose(p.r_euler, [-0.5 * math.pi, math.pi, math.pi])
-
-    def test_rotation_round_trip(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            angles = rng.uniform(-1.3, 1.3, size=3)
-            back = rotation_to_euler(euler_to_rotation(angles))
-            np.testing.assert_allclose(back, angles, atol=1e-12)
-
-    def test_gimbal_lock_still_reproduces_rotation(self):
-        r = euler_to_rotation([0.3, 0.5 * math.pi, 0.2])
-        back = rotation_to_euler(r)
-        np.testing.assert_allclose(euler_to_rotation(back), r, atol=1e-10)
-
-    def test_se3_round_trip(self):
-        pose = se3_exp(np.array([0.1, -0.2, 0.05, 0.03, -0.01, 0.2]))
-        again = euler_pose_to_se3(euler_pose_from_se3(pose))
-        np.testing.assert_allclose(again.rotation, pose.rotation, atol=1e-12)
-        np.testing.assert_allclose(again.translation, pose.translation, atol=1e-12)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(InitError):
-            EulerPose(r_euler=[np.nan, 0, 0], t=[0, 0, 0])
-
-
-class TestPoseRegressionLoss:
-    def test_equal_poses_cost_nothing(self):
-        p = EulerPose(r_euler=[0.1, 0.2, -0.3], t=[1.0, 2.0, 3.0])
-        assert pose_regression_loss(p, p) == 0.0
-
-    def test_unit_translation_offset(self):
-        a = EulerPose(r_euler=[0, 0, 0], t=[1.0, 0.0, 0.0])
-        b = EulerPose(r_euler=[0, 0, 0], t=[0.0, 0.0, 0.0])
-        assert pose_regression_loss(a, b) == 1.0
-
-    def test_tenth_radian_at_default_weight(self):
-        a = EulerPose(r_euler=[0.1, 0.0, 0.0], t=[0, 0, 0])
-        b = EulerPose(r_euler=[0.0, 0.0, 0.0], t=[0, 0, 0])
-        assert pose_regression_loss(a, b) == pytest.approx(1.0, rel=1e-12)
-
-    def test_zero_only_when_both_parts_match(self):
-        base = EulerPose(r_euler=[0, 0, 0], t=[0, 0, 0])
-        off_r = EulerPose(r_euler=[1e-3, 0, 0], t=[0, 0, 0])
-        off_t = EulerPose(r_euler=[0, 0, 0], t=[1e-3, 0, 0])
-        assert pose_regression_loss(off_r, base) > 0.0
-        assert pose_regression_loss(off_t, base) > 0.0
-
-
 class TestCandidateEnergy:
     def test_grid_energies_match_reference_scorer(self, large_pair):
         pair = large_pair
         rng = np.random.default_rng(9)
-        rotations, translations = [], []
-        for _ in range(8):
-            p = se3_exp(rng.uniform(-0.15, 0.15, size=6))
-            rotations.append(p.rotation)
-            translations.append(p.translation)
+        twists = [rng.uniform(-0.15, 0.15, size=6) for _ in range(8)]
+        twists += [
+            [2.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # some points past the warp margin
+            [3.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [-0.77, 3.68, -3.18, 1.05, 0.64, -0.9],  # some behind the camera
+            [0.0, 0.0, -4.9, 0.0, 0.0, 0.0],  # behind the camera, 1 valid
+            [4.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # fewer than min_valid_points
+            [6.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # none valid
+        ]
+        poses = [se3_exp(np.asarray(t, dtype=np.float64)) for t in twists]
         vec = _grid_energies(
             pair.ref_pyramid.level(1), pair.tgt_pyramid.level(1),
             pair.points.at_level(1), pair.points.depths,
-            np.array(rotations), np.array(translations),
+            np.array([p.rotation for p in poses]),
+            np.array([p.translation for p in poses]),
             pair.intrinsics.at_level(1), 0.3, 8,
         )
-        for i in range(8):
+        assert vec.shape == (len(poses),)
+        for i, pose in enumerate(poses):
             ref = candidate_energy(
                 pair.ref_pyramid.level(1), pair.tgt_pyramid.level(1),
-                pair.points, pair.intrinsics,
-                SE3Pose(rotation=rotations[i], translation=translations[i]),
+                pair.points, pair.intrinsics, pose,
             )
             if math.isinf(ref):
                 assert math.isinf(vec[i])
             else:
                 assert vec[i] == pytest.approx(ref, rel=1e-12)
+
+        # The extra poses reach every way a point drops out.
+        evals = [
+            compute_residuals(
+                pair.ref_pyramid.level(1), pair.tgt_pyramid.level(1),
+                pair.points.at_level(1), pair.points.depths, pose,
+                pair.intrinsics.at_level(1),
+            )
+            for pose in poses[8:]
+        ]
+        n_valid = [ev.n_valid for ev in evals]
+        behind = [int((ev.transformed[:, 2] <= 0.0).sum()) for ev in evals]
+        n = len(pair.points)
+        assert all(8 <= k < n for k in n_valid[:3])
+        assert behind[:2] == [0, 0] and behind[2] > 0 and behind[3] > 0
+        assert 0 < n_valid[3] < 8 and 0 < n_valid[4] < 8 and n_valid[5] == 0
 
     def test_too_few_valid_points_scores_infinite(self, large_pair):
         pair = large_pair

@@ -18,6 +18,7 @@ from featalign.synth import (
     SceneConfig,
     SynthError,
     SyntheticScene,
+    TooFewPointsError,
     build_dataset,
     build_pair,
     generate_pair,
@@ -359,6 +360,28 @@ class TestDataset:
                 pb = os.path.join(cfg_b.out_dir, entry[key])
                 with open(pa, "rb") as fa, open(pb, "rb") as fb:
                     assert fa.read() == fb.read(), entry[key]
+
+    def test_scene_with_too_few_points_is_redrawn(self):
+        # Base seed 4, pair 31 (class "medium") leaves 3 usable sparse
+        # points on its first draw; the pair comes from the second draw.
+        cfg = DatasetConfig(out_dir="unused", base_seed=4)
+
+        def first_draw(index):
+            rngs = [np.random.default_rng(c) for c in np.random.SeedSequence([4, index]).spawn(3)]
+            scene = generate_scene(rngs[0], cfg.scene, seed=index)
+            cls = cfg.classes[index % len(cfg.classes)]
+            pose = sample_pose_perturbation(rngs[1], cls, scene)
+            return build_pair(scene, pose, rngs[2], magnitude_class=cls, seed=index)
+
+        with pytest.raises(TooFewPointsError, match="only 3 usable"):
+            first_draw(31)
+        pair = generate_pair(cfg, 31)
+        assert len(pair.points) >= 8
+        # A pair that builds on its first draw is the one drawn from
+        # SeedSequence([base_seed, index]), as before redraws existed.
+        kept, first = generate_pair(cfg, 30), first_draw(30)
+        assert np.array_equal(kept.points.uv, first.points.uv)
+        assert np.array_equal(kept.gt_pose.rotation, first.gt_pose.rotation)
 
     def test_empty_dataset_valid(self, tmp_path):
         manifest = build_dataset(DatasetConfig(out_dir=str(tmp_path), n_pairs=0))
