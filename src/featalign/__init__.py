@@ -26,7 +26,6 @@ from .feature_maps import (
     FeatureMapError,
     FeaturePyramid,
     SampleOutOfBoundsError,
-    bilinear_sample_many,
     build_baseline_pyramid,
     gather_stencil,
     load_feature_pyramid,

@@ -12,14 +12,13 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from .configfile import load_config
-from .evaluation import compare_reports, run_benchmark, write_report
+from .evaluation import compare_reports, report_json_text, run_benchmark, write_report
 from .feature_maps import load_feature_pyramid
 from .geometry import (
     CameraIntrinsics,
@@ -55,21 +54,9 @@ def _mapping(path: str | None) -> dict:
     return load_config(path) if path else {}
 
 
-def _json_safe(obj):
-    """Replace non-finite floats with None so reports stay strict JSON."""
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
-
-
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as handle:
-        json.dump(_json_safe(payload), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(report_json_text(payload))
 
 
 def cmd_synth(args) -> int:

@@ -34,7 +34,8 @@ CURVE_BINS = 500
 INIT_MODES = ("identity", "corr")
 
 # Fixed CSV column order. `t_err` is in scene units, `r_err_deg` in degrees;
-# both are always finite (they measure the returned pose, converged or not).
+# both measure the returned pose, converged or not. A pose whose translation
+# overflows the norm gives an infinite `t_err`, written as null in the JSON.
 CSV_COLUMNS = ("pair", "class", "converged", "iterations", "t_err", "r_err_deg", "failure")
 
 
@@ -48,8 +49,8 @@ class TrialRecord:
 
     ``failure`` is empty for a clean run (converged or not); it carries the
     exception text when the pair could not be processed at all. Errors are
-    measured on whatever pose came back, so they stay finite either way; the
-    curve assembly is what maps non-converged trials to infinite error.
+    measured on whatever pose came back, converged or not; the curve
+    assembly is what maps non-converged trials to infinite error.
     """
 
     pair_id: str
@@ -316,8 +317,20 @@ def report_csv_text(report: dict) -> str:
     return out.getvalue()
 
 
+def _json_safe(obj):
+    """Replace non-finite floats with None so reports stay strict JSON."""
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def report_json_text(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Strict JSON text: non-finite floats are written as null."""
+    return json.dumps(_json_safe(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_report(report: dict, json_path: str | None = None, csv_path: str | None = None) -> None:
@@ -329,11 +342,16 @@ def write_report(report: dict, json_path: str | None = None, csv_path: str | Non
             handle.write(report_csv_text(report))
 
 
+def _error(value) -> float:
+    return math.inf if value is None else value
+
+
 def compare_reports(report_a: dict, report_b: dict) -> dict:
     """Per-metric deltas (B minus A) with a per-class breakdown.
 
     Both reports must cover the same pair ids in the same order; comparing
     disjoint runs would produce numbers that look meaningful but are not.
+    A null error (a non-finite value in strict JSON) reads as infinite.
     """
     ids_a = [r["pair"] for r in report_a["records"]]
     ids_b = [r["pair"] for r in report_b["records"]]
@@ -359,8 +377,8 @@ def compare_reports(report_a: dict, report_b: dict) -> dict:
             {
                 "pair": rec_a["pair"],
                 "class": rec_a["class"],
-                "t_err": rec_b["t_err"] - rec_a["t_err"],
-                "r_err_deg": rec_b["r_err_deg"] - rec_a["r_err_deg"],
+                "t_err": _error(rec_b["t_err"]) - _error(rec_a["t_err"]),
+                "r_err_deg": _error(rec_b["r_err_deg"]) - _error(rec_a["r_err_deg"]),
                 "converged": int(rec_b["converged"]) - int(rec_a["converged"]),
             }
         )

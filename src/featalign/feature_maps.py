@@ -189,20 +189,6 @@ def gather_stencil(fmap: FeatureMap, queries: np.ndarray) -> Stencil:
     return Stencil(corners=corners, fu=fu, fv=fv, iu0=iu0, iv0=iv0)
 
 
-def bilinear_sample_many(
-    fmap: FeatureMap, queries: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample values and gradients at (n, 2) query points."""
-    st = gather_stencil(fmap, queries)
-    return st.values(), st.gradients()
-
-
-def bilinear_sample(fmap: FeatureMap, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample one point; returns ((D,) value, (D, 2) gradient)."""
-    vals, grads = bilinear_sample_many(fmap, np.asarray(query, dtype=np.float64)[None, :])
-    return vals[0], grads[0]
-
-
 # ---------------------------------------------------------------------------
 # Baseline pyramid construction.
 # ---------------------------------------------------------------------------

@@ -37,12 +37,8 @@ class GeometryError(ValueError):
     """Base class for geometry failures."""
 
 
-class InvalidDepthError(GeometryError):
-    """Raised when unprojecting a non-positive depth."""
-
-
 class BehindCameraError(GeometryError):
-    """Raised when projecting a point at or behind the camera plane."""
+    """Raised when differentiating the projection at or behind the camera plane."""
 
 
 class NearSingularRotationError(GeometryError):
@@ -227,33 +223,6 @@ def boxplus(delta: np.ndarray, pose: SE3Pose) -> SE3Pose:
     return se3_exp(delta).compose(pose)
 
 
-def unproject(pixel: np.ndarray, depth: float, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Back-project a pixel at a given depth into camera coordinates."""
-    if depth <= 0.0:
-        raise InvalidDepthError(f"depth must be positive, got {depth}")
-    u, v = float(pixel[0]), float(pixel[1])
-    return np.array(
-        [
-            depth * (u - intrinsics.cx) / intrinsics.fx,
-            depth * (v - intrinsics.cy) / intrinsics.fy,
-            depth,
-        ]
-    )
-
-
-def project(point: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Project a camera-frame point to pixel coordinates."""
-    x, y, z = float(point[0]), float(point[1]), float(point[2])
-    if z <= Z_MIN:
-        raise BehindCameraError(f"point depth {z} is at or behind the camera")
-    return np.array(
-        [
-            intrinsics.fx * x / z + intrinsics.cx,
-            intrinsics.fy * y / z + intrinsics.cy,
-        ]
-    )
-
-
 # Points projecting closer than this to the image border are invalid; it
 # leaves one interpolation cell plus one safety pixel.
 WARP_MARGIN = 2.0
@@ -317,37 +286,6 @@ def warp_points(
         pixels, depths, pose.rotation[None], pose.translation[None], intrinsics, margin
     )
     return warped[0], valid[0], transformed[0]
-
-
-def warp_point(
-    pixel: np.ndarray,
-    depth: float,
-    pose: SE3Pose,
-    intrinsics: CameraIntrinsics,
-    margin: float = WARP_MARGIN,
-) -> tuple[np.ndarray, bool]:
-    """Warp a single pixel; returns the target pixel and a validity flag."""
-    warped, valid, _ = warp_points(
-        np.asarray(pixel, dtype=np.float64)[None, :],
-        np.array([depth]),
-        pose,
-        intrinsics,
-        margin,
-    )
-    return warped[0], bool(valid[0])
-
-
-def projection_jacobian(point: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """d(pixel)/d(camera point) for the pinhole projection, as a 2x3 matrix."""
-    x, y, z = float(point[0]), float(point[1]), float(point[2])
-    if z <= Z_MIN:
-        raise BehindCameraError(f"point depth {z} is at or behind the camera")
-    return np.array(
-        [
-            [intrinsics.fx / z, 0.0, -intrinsics.fx * x / z**2],
-            [0.0, intrinsics.fy / z, -intrinsics.fy * y / z**2],
-        ]
-    )
 
 
 def pose_twist_jacobian(

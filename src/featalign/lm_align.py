@@ -42,10 +42,6 @@ class AlignmentError(ValueError):
     """Base class for alignment failures."""
 
 
-class InsufficientOverlapError(AlignmentError):
-    """Raised when fewer valid points remain than the configured minimum."""
-
-
 class DegenerateSystemError(AlignmentError):
     """Raised when the damped normal equations are singular or ill-conditioned."""
 
@@ -67,6 +63,8 @@ class SparsePointSet:
         d = np.ascontiguousarray(np.asarray(self.depths, dtype=np.float64).reshape(-1))
         if uv.shape[0] != d.shape[0]:
             raise AlignmentError("point and depth counts differ")
+        if not (np.isfinite(uv).all() and np.isfinite(d).all()):
+            raise AlignmentError("point coordinates and depths must be finite")
         if np.any(d <= 0.0):
             raise AlignmentError("point depths must be positive")
         uv.flags.writeable = False
@@ -320,7 +318,9 @@ def damp(h: np.ndarray, lam: float, mode: str) -> np.ndarray:
 
 
 def solve_step(h_damped: np.ndarray, b: np.ndarray, cond_max: float = 1e12) -> np.ndarray:
-    """Solve the damped system, refusing ill-conditioned ones."""
+    """Solve the damped system, refusing non-finite or ill-conditioned ones."""
+    if not (np.isfinite(h_damped).all() and np.isfinite(b).all()):
+        raise DegenerateSystemError("damped system holds non-finite entries")
     eigs = np.linalg.eigvalsh(h_damped)
     if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > cond_max:
         raise DegenerateSystemError(

@@ -31,8 +31,8 @@ from .feature_maps import (
     FeatureMap,
     SAMPLE_MARGIN,
     Stencil,
-    bilinear_sample_many,
     gather_stencil,
+    in_margins,
     stencil_gradients,
     stencil_values,
 )
@@ -112,22 +112,8 @@ class CorrespondenceBatch:
         return self.ref_uv.shape[0]
 
 
-@dataclass(frozen=True)
-class PointGNSystem:
-    """2x2 normal equations of one sampled target point."""
-
-    residual: np.ndarray  # (D,)
-    jacobian: np.ndarray  # (D, 2) spatial gradient of the target features
-    hessian: np.ndarray   # (2, 2) J^T J
-    rhs: np.ndarray       # (2,)  -J^T r
-
-    def step(self, damping: float) -> np.ndarray:
-        """Damped update step (H + damping*I)^{-1} rhs."""
-        return np.linalg.solve(self.hessian + damping * np.eye(2), self.rhs)
-
-
 # ---------------------------------------------------------------------------
-# Stencil-level term arithmetic (shared by scalar ops, batches, and FD).
+# Stencil-level term arithmetic (shared by batches and FD).
 # ---------------------------------------------------------------------------
 
 
@@ -175,51 +161,6 @@ def _gn_terms(corners, fu, fv, f_ref, near_uv, gt_uv, config):
 
 
 # ---------------------------------------------------------------------------
-# Scalar operations.
-# ---------------------------------------------------------------------------
-
-
-def match_loss(ref_map: FeatureMap, tgt_map: FeatureMap, p, gt) -> float:
-    """Squared feature distance between a point and its true correspondence."""
-    f_ref, _ = bilinear_sample_many(ref_map, np.asarray(p, dtype=np.float64)[None, :])
-    st = gather_stencil(tgt_map, np.asarray(gt, dtype=np.float64)[None, :])
-    return float(_sq_dist_terms(st.corners, st.fu, st.fv, f_ref)[0])
-
-
-def negative_hinge_loss(ref_map, tgt_map, p, neg, margin: float = 1.0) -> float:
-    """Hinge keeping non-corresponding features at least ``margin`` apart."""
-    d2 = match_loss(ref_map, tgt_map, p, neg)
-    return max(margin - d2, 0.0)
-
-
-def point_gn_system(ref_map, tgt_map, p, q) -> PointGNSystem:
-    f_ref, _ = bilinear_sample_many(ref_map, np.asarray(p, dtype=np.float64)[None, :])
-    st = gather_stencil(tgt_map, np.asarray(q, dtype=np.float64)[None, :])
-    res, jac, hess, rhs = _gn_pieces(st.corners, st.fu, st.fv, f_ref)
-    return PointGNSystem(
-        residual=res[0], jacobian=jac[0], hessian=hess[0], rhs=rhs[0]
-    )
-
-
-def gd_step_loss(ref_map, tgt_map, p, ring, gt, config: LossConfig) -> float:
-    """Hinge on the progress of one heavily damped step from the ring."""
-    f_ref, _ = bilinear_sample_many(ref_map, np.asarray(p, dtype=np.float64)[None, :])
-    st = gather_stencil(tgt_map, np.asarray(ring, dtype=np.float64)[None, :])
-    ring_arr = np.asarray(ring, dtype=np.float64)[None, :]
-    gt_arr = np.asarray(gt, dtype=np.float64)[None, :]
-    return float(_gd_terms(st.corners, st.fu, st.fv, f_ref, ring_arr, gt_arr, config)[0])
-
-
-def gn_step_loss(ref_map, tgt_map, p, near, gt, config: LossConfig) -> float:
-    """Gaussian negative log-density of the near-sample update step."""
-    f_ref, _ = bilinear_sample_many(ref_map, np.asarray(p, dtype=np.float64)[None, :])
-    st = gather_stencil(tgt_map, np.asarray(near, dtype=np.float64)[None, :])
-    near_arr = np.asarray(near, dtype=np.float64)[None, :]
-    gt_arr = np.asarray(gt, dtype=np.float64)[None, :]
-    return float(_gn_terms(st.corners, st.fu, st.fv, f_ref, near_arr, gt_arr, config)[0])
-
-
-# ---------------------------------------------------------------------------
 # Batch sampling and evaluation.
 # ---------------------------------------------------------------------------
 
@@ -243,12 +184,8 @@ def sample_batch(rng, gt_correspondences, image_dims, config: LossConfig) -> Cor
     lo = SAMPLE_MARGIN
     hi_u = w - 1 - SAMPLE_MARGIN
     hi_v = h - 1 - SAMPLE_MARGIN
-    pad = config.gn_radius
-    keep = (
-        (corr[:, 0] >= lo) & (corr[:, 0] <= hi_u)
-        & (corr[:, 1] >= lo) & (corr[:, 1] <= hi_v)
-        & (corr[:, 2] >= lo + pad) & (corr[:, 2] <= hi_u - pad)
-        & (corr[:, 3] >= lo + pad) & (corr[:, 3] <= hi_v - pad)
+    keep = in_margins(corr[:, 0:2], w, h, lo) & in_margins(
+        corr[:, 2:4], w, h, lo + config.gn_radius
     )
     corr = corr[keep]
     n = corr.shape[0]
@@ -272,10 +209,7 @@ def sample_batch(rng, gt_correspondences, image_dims, config: LossConfig) -> Cor
         cand = gt[pending] + np.stack(
             [radius * np.cos(angle), radius * np.sin(angle)], axis=1
         )
-        ok = (
-            (cand[:, 0] >= lo) & (cand[:, 0] <= hi_u)
-            & (cand[:, 1] >= lo) & (cand[:, 1] <= hi_v)
-        )
+        ok = in_margins(cand, w, h, lo)
         ring[pending[ok]] = cand[ok]
         pending = pending[~ok]
         if len(pending) == 0:
@@ -294,7 +228,7 @@ def sample_batch(rng, gt_correspondences, image_dims, config: LossConfig) -> Cor
 
 def batch_terms(ref_map: FeatureMap, tgt_map: FeatureMap, batch, config) -> dict:
     """All four loss terms for every batch row, vectorized. Returns arrays."""
-    f_ref, _ = bilinear_sample_many(ref_map, batch.ref_uv)
+    f_ref = gather_stencil(ref_map, batch.ref_uv).values()
     st_gt = gather_stencil(tgt_map, batch.gt_uv)
     st_neg = gather_stencil(tgt_map, batch.neg_uv)
     st_ring = gather_stencil(tgt_map, batch.ring_uv)
@@ -341,7 +275,7 @@ def total_loss(ref_map, tgt_map, batch, config) -> tuple[float, dict]:
 
 
 def _touched_cells(st: Stencil):
-    """(n, 4) flat cell ids of a stencil's corners, given map width."""
+    """Row and column indices ``(iv, iu)`` of a stencil's corners, each (n, 4)."""
     iu = np.stack([st.iu0, st.iu0 + 1, st.iu0, st.iu0 + 1], axis=1)
     iv = np.stack([st.iv0, st.iv0, st.iv0 + 1, st.iv0 + 1], axis=1)
     return iv, iu
@@ -352,56 +286,40 @@ def loss_gradient_fd(
     params: np.ndarray,
     batch: CorrespondenceBatch,
     config: LossConfig,
-    entries=None,
     step: float = FD_STEP,
-    method: str = "fast",
 ) -> np.ndarray:
     """Central-difference gradient of total_loss w.r.t. target map cells.
 
-    ``params`` is the float64 master copy of the learnable target map; the
-    loss itself is always evaluated through the float32 FeatureMap cast,
-    and both FD branches apply the bump before that cast so they measure
-    the same perturbation.
+    ``params`` is the float64 master copy of the learnable target map. The
+    loss is evaluated on the float32 FeatureMap cast of it, so every bumped
+    corner value is cast to float32 too: each difference measures the same
+    perturbation as rebuilding the map around the bumped cell would.
 
-    The fast method re-evaluates, per bumped cell, only the loss terms
-    whose interpolation stencil contains that cell; terms elsewhere cancel
-    in the central difference. The brute method rebuilds the full map for
-    every entry and is the test oracle.
+    Per bumped cell, only the loss terms whose interpolation stencil
+    contains that cell are re-evaluated; terms elsewhere cancel in the
+    central difference. Each (sign, corner, channel) bump is one more copy
+    of the batch, so every term is evaluated once over 8 * d stacked copies.
     """
     params = np.asarray(params, dtype=np.float64)
-    h, w, d = params.shape
+    d = params.shape[2]
     grad = np.zeros_like(params)
-
-    if method == "brute":
-        if entries is None:
-            raise LossError("brute differences need an explicit entry list")
-        if len(entries) > 10_000:
-            raise LossError("entry budget is 10000 per call")
-        for (v, u, c) in entries:
-            bumped = params.copy()
-            bumped[v, u, c] = params[v, u, c] + step
-            up, _ = total_loss(ref_map, FeatureMap(bumped), batch, config)
-            bumped[v, u, c] = params[v, u, c] - step
-            down, _ = total_loss(ref_map, FeatureMap(bumped), batch, config)
-            grad[v, u, c] = (up - down) / (2.0 * step)
-        return grad
-    if method != "fast":
-        raise LossError(f"unknown method {method!r}")
 
     tgt_map = FeatureMap(params)
     n = len(batch)
-    f_ref, _ = bilinear_sample_many(ref_map, batch.ref_uv)
+    copies = 8 * d
+    f_ref = np.tile(gather_stencil(ref_map, batch.ref_uv).values(), (copies, 1))
+    gt_uv = np.tile(batch.gt_uv, (copies, 1))
 
     term_eval = {
-        "match": lambda st, corners: _sq_dist_terms(corners, st.fu, st.fv, f_ref),
-        "negative": lambda st, corners: np.maximum(
-            config.margin - _sq_dist_terms(corners, st.fu, st.fv, f_ref), 0.0
+        "match": lambda corners, fu, fv: _sq_dist_terms(corners, fu, fv, f_ref),
+        "negative": lambda corners, fu, fv: np.maximum(
+            config.margin - _sq_dist_terms(corners, fu, fv, f_ref), 0.0
         ),
-        "gd": lambda st, corners: _gd_terms(
-            corners, st.fu, st.fv, f_ref, batch.ring_uv, batch.gt_uv, config
+        "gd": lambda corners, fu, fv: _gd_terms(
+            corners, fu, fv, f_ref, np.tile(batch.ring_uv, (copies, 1)), gt_uv, config
         ),
-        "gn": lambda st, corners: _gn_terms(
-            corners, st.fu, st.fv, f_ref, batch.near_uv, batch.gt_uv, config
+        "gn": lambda corners, fu, fv: _gn_terms(
+            corners, fu, fv, f_ref, np.tile(batch.near_uv, (copies, 1)), gt_uv, config
         ),
     }
     points = {
@@ -411,37 +329,25 @@ def loss_gradient_fd(
         "gn": batch.near_uv,
     }
 
-    if entries is not None:
-        wanted = np.zeros((h, w, d), dtype=bool)
-        for (v, u, c) in entries:
-            wanted[v, u, c] = True
-
+    corner = np.arange(4)[:, None]
+    chan = np.arange(d)[None, :]
     for name, uv in points.items():
         weight = getattr(config, _TERM_WEIGHTS[name])
         if weight == 0.0:
             continue
         st = gather_stencil(tgt_map, uv)
-        evaluate = term_eval[name]
-        iv_all, iu_all = _touched_cells(st)
-        for corner in range(4):
-            iv = iv_all[:, corner]
-            iu = iu_all[:, corner]
-            for c in range(d):
-                rows = np.arange(n)
-                if entries is not None:
-                    rows = rows[wanted[iv, iu, c]]
-                    if len(rows) == 0:
-                        continue
-                base = params[iv[rows], iu[rows], c]
-                corners_up = st.corners.copy()
-                corners_up[rows, corner, c] = np.float32(base + step)
-                corners_dn = st.corners.copy()
-                corners_dn[rows, corner, c] = np.float32(base - step)
-                up = evaluate(st, corners_up)[rows]
-                down = evaluate(st, corners_dn)[rows]
-                contrib = weight * (up - down) / (2.0 * step * n)
-                np.add.at(grad[:, :, c], (iv[rows], iu[rows]), contrib)
-
-    if entries is not None:
-        grad[~wanted] = 0.0
+        iv, iu = _touched_cells(st)
+        base = params[iv, iu].transpose(1, 2, 0)  # (corner, channel, row)
+        # bumped[s, k, c] holds the batch's corners with corner k, channel c
+        # moved up (s = 0) or down (s = 1) by the step.
+        bumped = np.broadcast_to(st.corners, (2, 4, d) + st.corners.shape).copy()
+        bumped[0, corner, chan, :, corner, chan] = np.float32(base + step)
+        bumped[1, corner, chan, :, corner, chan] = np.float32(base - step)
+        values = term_eval[name](
+            bumped.reshape(-1, 4, d), np.tile(st.fu, copies), np.tile(st.fv, copies)
+        ).reshape(2, 4, d, n)
+        contrib = weight * (values[0] - values[1]) / (2.0 * step * n)
+        # Indexed in (corner, channel, row) order, so every cell sums its
+        # contributions corner by corner, then row by row.
+        np.add.at(grad, (iv.T[:, None, :], iu.T[:, None, :], chan[:, :, None]), contrib)
     return grad

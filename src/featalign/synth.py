@@ -413,12 +413,8 @@ def select_sparse_points(
     vv, uu = np.mgrid[0:h:stride, 0:w:stride]
     uu = uu.ravel()
     vv = vv.ravel()
-    keep = (
-        (uu >= margin)
-        & (uu <= w - 1 - margin)
-        & (vv >= margin)
-        & (vv <= h - 1 - margin)
-        & (gradmag[vv, uu] > threshold)
+    keep = in_margins(np.stack([uu, vv], axis=1), w, h, margin) & (
+        gradmag[vv, uu] > threshold
     )
     if mask is not None:
         keep &= np.asarray(mask, dtype=bool)[vv, uu]
@@ -692,16 +688,11 @@ def load_pair_entry(entry: dict, root: str):
         tgt = load_feature_pyramid(os.path.join(root, entry["tgt_features"]))
         points = load_points_text(os.path.join(root, entry["points"]))
         pose = load_pose_text(os.path.join(root, entry["pose"]))
+        intrinsics = CameraIntrinsics.from_mapping(entry["intrinsics"])
     except KeyError as exc:
         raise DatasetError(f"manifest entry missing field {exc}") from exc
-    rec = entry["intrinsics"]
-    intrinsics = CameraIntrinsics(
-        fx=rec["fx"],
-        fy=rec["fy"],
-        cx=rec["cx"],
-        cy=rec["cy"],
-        width=int(rec["width"]),
-        height=int(rec["height"]),
-    )
+    except TypeError as exc:
+        # A field of the wrong JSON type, e.g. a null intrinsics record.
+        raise DatasetError(f"malformed manifest entry: {exc}") from exc
     return ref, tgt, points, pose, intrinsics
 

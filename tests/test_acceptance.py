@@ -26,13 +26,7 @@ from featalign.lm_align import (
     damp,
     solve_step,
 )
-from featalign.losses import (
-    LOG_TWO_PI,
-    LossConfig,
-    gd_step_loss,
-    gn_step_loss,
-    negative_hinge_loss,
-)
+from featalign.losses import LOG_TWO_PI, CorrespondenceBatch, LossConfig, batch_terms
 from featalign.pose_init import candidate_energy, corr_pose_init
 from featalign.synth import (
     DatasetConfig,
@@ -306,26 +300,34 @@ def _const_map(h, w, values):
     return FeatureMap(data)
 
 
+def _one_row_terms(ref, tgt, p, gt, neg=None, ring=None, near=None, config=None):
+    """batch_terms of a one-row batch; samples left unset sit at ``gt``."""
+    rows = [p, gt, neg or gt, ring or gt, near or gt]
+    batch = CorrespondenceBatch(*(np.array([uv], dtype=np.float64) for uv in rows))
+    terms = batch_terms(ref, tgt, batch, config or LossConfig())
+    return {name: float(values[0]) for name, values in terms.items()}
+
+
 def test_loss_identities(capsys):
     # Unit curvature, zero residual at the truth: only the normalization
     # constant of the step density remains.
     tgt = _ramp_map(12, 12, [1.0, 0.0], [0.0, 1.0])
     gt = (6.0, 7.0)
     ref = _const_map(12, 12, [6.0, 7.0])
-    gn = gn_step_loss(ref, tgt, (2.0, 2.0), gt, gt, LossConfig())
+    gn = _one_row_terms(ref, tgt, (2.0, 2.0), gt, near=gt)["gn"]
     gn_err = abs(gn - LOG_TWO_PI)
 
     # Identical features at a non-corresponding site: full hinge.
     flat = _const_map(10, 10, [0.25, -0.5])
-    neg = negative_hinge_loss(flat, flat, (3.0, 3.0), (7.0, 6.0))
+    neg = _one_row_terms(flat, flat, (3.0, 3.0), (7.0, 6.0), neg=(7.0, 6.0))["negative"]
 
     # Damped step from the ring moves straight toward the truth, so the
     # progress hinge is exactly zero.
     tgt_r = _ramp_map(12, 24, [2.0], [0.0])
     ref_r = _const_map(12, 24, [20.0])
-    gd = gd_step_loss(
-        ref_r, tgt_r, (10.0, 5.0), (15.0, 5.0), (10.0, 5.0), LossConfig(lambda_f=2.0)
-    )
+    gd = _one_row_terms(
+        ref_r, tgt_r, (10.0, 5.0), (10.0, 5.0), ring=(15.0, 5.0), config=LossConfig(lambda_f=2.0)
+    )["gd"]
 
     ok = gn_err <= 1e-9 and neg == 1.0 and gd == 0.0
     _report(

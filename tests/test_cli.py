@@ -10,6 +10,7 @@ import os
 import pytest
 
 from featalign.cli import EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, main
+from featalign.lm_align import SparsePointSet, load_points_text, save_points_text
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +94,14 @@ class TestAlign:
              "--points", "no.txt", "--intrinsics", "no.txt"]
         )
         assert code == EXIT_ERROR
+
+    def test_points_file_with_nan_exits_1(self, dataset, tmp_path, capsys):
+        args, _ = pair_args(dataset)
+        bad = tmp_path / "points.txt"
+        bad.write_text("40.0 30.0 2.5\n41.0 31.0 nan\n")
+        args[args.index("--points") + 1] = str(bad)
+        assert main(["align", *args]) == EXIT_ERROR
+        assert "finite" in capsys.readouterr().err
 
     def test_unknown_solver_key_exits_1(self, dataset, tmp_path, capsys):
         args, _ = pair_args(dataset)
@@ -229,6 +238,33 @@ class TestCompare:
         with open(delta_out) as handle:
             delta = json.load(handle)
         assert delta["overall"]["t_auc"] == 0.0
+
+    def test_overflowing_error_report_is_strict_json(self, tmp_path, capsys):
+        # Pair 0 of base seed 7000 with its depths scaled by 1e200: the
+        # correlation seed lifts the depth into the translation and the
+        # translation error overflows to infinity.
+        cfg = tmp_path / "ds.cfg"
+        cfg.write_text("n_pairs = 1\nbase_seed = 7000\n")
+        data = str(tmp_path / "data")
+        assert main(["synth", "--config", str(cfg), "--out", data]) == EXIT_OK
+        points_path = os.path.join(data, "pair_0000", "points.txt")
+        points = load_points_text(points_path)
+        save_points_text(points_path, SparsePointSet(points.uv, points.depths * 1e200))
+        rep = str(tmp_path / "rep.json")
+        code = main(["benchmark", "--manifest", os.path.join(data, "manifest.json"),
+                     "--init", "corr", "--out-json", rep])
+        assert code == EXIT_OK
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        with open(rep) as handle:
+            report = json.load(handle, parse_constant=reject)
+        assert report["records"][0]["t_err"] is None
+        delta_out = str(tmp_path / "delta.json")
+        assert main(["compare", rep, rep, "--out", delta_out]) == EXIT_OK
+        with open(delta_out) as handle:
+            json.load(handle, parse_constant=reject)
 
     def test_mismatched_reports_exit_1(self, dataset, tmp_path, capsys):
         manifest = os.path.join(dataset, "manifest.json")

@@ -243,6 +243,37 @@ class TestRunBenchmark:
         assert not bad["converged"]
         assert report["n_converged"] == 4
 
+    def test_incomplete_intrinsics_recorded_as_load_failure(self, small_dataset):
+        root, manifest = small_dataset
+        first = manifest["pairs"][0]
+        no_record = {k: v for k, v in first.items() if k != "intrinsics"}
+        no_focal = dict(first, intrinsics={
+            k: v for k, v in first["intrinsics"].items() if k != "fx"
+        })
+        null_record = dict(first, intrinsics=None)
+        broken = dict(
+            manifest, pairs=[no_record, no_focal, null_record] + list(manifest["pairs"][1:])
+        )
+        report = run_benchmark(broken, root)
+        assert report["n_pairs"] == 6
+        assert report["n_failures"] == 3
+        for bad in report["records"][:3]:
+            assert bad["failure"].startswith("load:")
+            assert not bad["converged"]
+        assert "intrinsics" in report["records"][0]["failure"]
+        assert "fx" in report["records"][1]["failure"]
+        assert "malformed" in report["records"][2]["failure"]
+        assert report["n_converged"] == 3
+
+    def test_nan_points_recorded_as_load_failure(self, small_dataset, tmp_path):
+        root, manifest = small_dataset
+        bad = tmp_path / "points.txt"
+        bad.write_text("40.0 30.0 2.5\nnan 31.0 2.5\n")
+        broken = dict(manifest, pairs=[dict(manifest["pairs"][0], points=str(bad))])
+        report = run_benchmark(broken, root)
+        assert report["n_failures"] == 1
+        assert report["records"][0]["failure"].startswith("load: AlignmentError")
+
     def test_empty_manifest_rejected(self):
         with pytest.raises(EvalError):
             run_benchmark({"pairs": []}, ".")
@@ -261,6 +292,23 @@ class TestRunBenchmark:
         assert loaded["t_auc"] == report["t_auc"]
         assert len(loaded["records"]) == 4
         assert len(loaded["curves"]["translation"]["thresholds"]) == CURVE_BINS + 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestReportJson:
+    def test_non_finite_floats_written_as_null(self):
+        text = report_json_text(
+            {"t_err": math.inf, "rows": [1.0, -math.inf, math.nan], "n": 3}
+        )
+        loaded = json.loads(text, parse_constant=_reject_constant)
+        assert loaded == {"t_err": None, "rows": [1.0, None, None], "n": 3}
+
+    def test_finite_report_text_unchanged(self):
+        report = {"b": [0.1, 2], "a": {"t_auc": 12.5, "failure": ""}}
+        assert report_json_text(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def tiny_report(t_aucs, rows):
@@ -320,6 +368,14 @@ class TestCompareReports:
         assert delta["overall"]["t_auc"] > 0 and delta["overall"]["r_auc"] > 0
         assert all(row["t_err"] < 0 for row in delta["pairs"])
         assert all(row["r_err_deg"] < 0 for row in delta["pairs"])
+
+    def test_null_errors_read_as_infinite(self):
+        a = tiny_report((50.0, 50.0), [("p0", 0.2, 2.0, 9, True)])
+        b = tiny_report((50.0, 50.0), [("p0", None, None, 9, True)])
+        row = compare_reports(a, b)["pairs"][0]
+        assert row["t_err"] == math.inf
+        assert row["r_err_deg"] == math.inf
+        assert compare_reports(b, a)["pairs"][0]["t_err"] == -math.inf
 
     def test_mismatched_pair_ids_rejected(self):
         a = tiny_report((50.0, 50.0), [("p0", 0.2, 2.0, 9, True)])

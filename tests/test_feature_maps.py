@@ -11,9 +11,8 @@ from featalign.feature_maps import (
     PyramidConfig,
     SampleOutOfBoundsError,
     area_downsample,
-    bilinear_sample,
-    bilinear_sample_many,
     build_baseline_pyramid,
+    gather_stencil,
     load_feature_maps,
     load_feature_pyramid,
     save_feature_maps,
@@ -27,24 +26,30 @@ def _ramp_map(h=16, w=16, a=2.0, b=3.0, c=1.0):
     return FeatureMap(a * u + b * v + c)
 
 
+def _sample(fmap, query):
+    """One-row stencil: ((D,) value, (D, 2) gradient) at one query point."""
+    st = gather_stencil(fmap, np.asarray(query, dtype=np.float64)[None, :])
+    return st.values()[0], st.gradients()[0]
+
+
 class TestBilinearSample:
     def test_constant_patch(self):
         fmap = FeatureMap(np.full((8, 8), 4.25, dtype=np.float32))
-        val, grad = bilinear_sample(fmap, np.array([3.5, 3.5]))
+        val, grad = _sample(fmap, np.array([3.5, 3.5]))
         assert val[0] == pytest.approx(4.25)
         np.testing.assert_allclose(grad, np.zeros((1, 2)), atol=0)
 
     def test_exact_on_affine_ramp(self):
         # f(u, v) = 2u + 3v + 1; at (1.25, 2.5): 2.5 + 7.5 + 1 = 11.
         fmap = _ramp_map()
-        val, grad = bilinear_sample(fmap, np.array([1.25, 2.5]))
+        val, grad = _sample(fmap, np.array([1.25, 2.5]))
         assert val[0] == pytest.approx(11.0, abs=1e-12)
         np.testing.assert_allclose(grad[0], [2.0, 3.0], atol=1e-12)
 
     def test_integer_query_returns_grid_value(self):
         rng = np.random.default_rng(2)
         fmap = FeatureMap(rng.normal(size=(12, 10, 3)).astype(np.float32))
-        val, _ = bilinear_sample(fmap, np.array([4.0, 7.0]))
+        val, _ = _sample(fmap, np.array([4.0, 7.0]))
         np.testing.assert_array_equal(val, fmap.values[7, 4].astype(np.float64))
 
     def test_gradient_matches_finite_differences(self):
@@ -58,12 +63,12 @@ class TestBilinearSample:
             # skip queries whose difference stencil would straddle one.
             if np.any(np.abs(q - np.round(q)) < 1e-3):
                 continue
-            _, grad = bilinear_sample(fmap, q)
+            _, grad = _sample(fmap, q)
             for axis in range(2):
                 d = np.zeros(2)
                 d[axis] = step
-                hi, _ = bilinear_sample(fmap, q + d)
-                lo, _ = bilinear_sample(fmap, q - d)
+                hi, _ = _sample(fmap, q + d)
+                lo, _ = _sample(fmap, q - d)
                 fd = (hi - lo) / (2 * step)
                 np.testing.assert_allclose(grad[:, axis], fd, atol=1e-6)
             checked += 1
@@ -73,20 +78,21 @@ class TestBilinearSample:
         fmap = FeatureMap(np.zeros((8, 8), dtype=np.float32))
         for q in ([0.5, 4.0], [4.0, 0.99], [6.5, 4.0], [4.0, 6.5]):
             with pytest.raises(SampleOutOfBoundsError):
-                bilinear_sample(fmap, np.array(q))
+                _sample(fmap, np.array(q))
 
     def test_boundary_of_margin_is_allowed(self):
         fmap = FeatureMap(np.arange(64, dtype=np.float32).reshape(8, 8))
-        val, _ = bilinear_sample(fmap, np.array([6.0, 6.0]))
+        val, _ = _sample(fmap, np.array([6.0, 6.0]))
         assert val[0] == pytest.approx(54.0)  # 6*8 + 6
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(5)
         fmap = FeatureMap(rng.normal(size=(20, 24, 2)).astype(np.float32))
         qs = rng.uniform(1.5, 18.0, size=(50, 2))
-        vals, grads = bilinear_sample_many(fmap, qs)
+        st = gather_stencil(fmap, qs)
+        vals, grads = st.values(), st.gradients()
         for i in range(50):
-            v, g = bilinear_sample(fmap, qs[i])
+            v, g = _sample(fmap, qs[i])
             np.testing.assert_array_equal(vals[i], v)
             np.testing.assert_array_equal(grads[i], g)
 

@@ -11,10 +11,8 @@ import pytest
 from scipy.linalg import expm
 
 from featalign.geometry import (
-    BehindCameraError,
     CameraIntrinsics,
     GeometryError,
-    InvalidDepthError,
     NearSingularRotationError,
     PoseFormatError,
     SE3Pose,
@@ -22,20 +20,29 @@ from featalign.geometry import (
     format_pose_text,
     parse_pose_text,
     pose_twist_jacobian,
-    project,
-    projection_jacobian,
     rotation_error,
     se3_exp,
     se3_log,
     translation_error,
-    unproject,
-    warp_point,
     warp_points,
 )
 
 
 def _K(fx=100.0, fy=100.0, cx=50.0, cy=50.0, w=101, h=101):
     return CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=w, height=h)
+
+
+def _warp_one(pixel, depth, pose, k, margin=2.0):
+    """One-row warp_points: (target pixel, valid flag, target-frame point)."""
+    warped, valid, transformed = warp_points(
+        np.asarray(pixel, dtype=np.float64)[None, :], np.array([depth]), pose, k, margin
+    )
+    return warped[0], bool(valid[0]), transformed[0]
+
+
+def _pinhole(point, k):
+    """Pinhole projection of one camera-frame point (test oracle)."""
+    return np.array([k.fx * point[0] / point[2] + k.cx, k.fy * point[1] / point[2] + k.cy])
 
 
 def _skew(w):
@@ -156,49 +163,56 @@ class TestBoxplus:
 
 class TestProjection:
     def test_project_known_point(self):
-        # 100 * 0.1 / 2 + 50 = 55, 100 * -0.2 / 2 + 50 = 40
-        pixel = project(np.array([0.1, -0.2, 2.0]), _K())
+        # The principal point at depth 2 lifts to (0, 0, 2); the translation
+        # moves it to (0.1, -0.2, 2), which projects to
+        # 100 * 0.1 / 2 + 50 = 55, 100 * -0.2 / 2 + 50 = 40.
+        pose = SE3Pose(np.eye(3), np.array([0.1, -0.2, 0.0]))
+        pixel, valid, point = _warp_one([50.0, 50.0], 2.0, pose, _K())
+        assert valid
+        np.testing.assert_allclose(point, [0.1, -0.2, 2.0], atol=1e-12)
         np.testing.assert_allclose(pixel, [55.0, 40.0], atol=1e-12)
 
     def test_unproject_known_pixel(self):
-        point = unproject(np.array([55.0, 40.0]), 2.0, _K())
+        _, _, point = _warp_one([55.0, 40.0], 2.0, SE3Pose.identity(), _K())
         np.testing.assert_allclose(point, [0.1, -0.2, 2.0], atol=1e-12)
 
     def test_round_trip(self):
+        # margin -1 keeps every pixel of [0, 100] valid
         rng = np.random.default_rng(5)
         k = _K()
         for _ in range(50):
             pixel = rng.uniform(0, 100, size=2)
             depth = rng.uniform(0.1, 20.0)
-            back = project(unproject(pixel, depth, k), k)
+            back, valid, _ = _warp_one(pixel, depth, SE3Pose.identity(), k, margin=-1.0)
+            assert valid
             np.testing.assert_allclose(back, pixel, atol=1e-9)
 
     def test_project_rejects_point_behind_camera(self):
-        with pytest.raises(BehindCameraError):
-            project(np.array([0.0, 0.0, 1e-7]), _K())
-        with pytest.raises(BehindCameraError):
-            project(np.array([0.0, 0.0, -1.0]), _K())
+        # The principal point at depth 2 moved to z = 1e-7 and z = -1.
+        for tz in (-2.0 + 1e-7, -3.0):
+            pose = SE3Pose(np.eye(3), np.array([0.0, 0.0, tz]))
+            _, valid, _ = _warp_one([50.0, 50.0], 2.0, pose, _K())
+            assert not valid
 
     def test_unproject_rejects_bad_depth(self):
-        with pytest.raises(InvalidDepthError):
-            unproject(np.array([50.0, 50.0]), 0.0, _K())
-        with pytest.raises(InvalidDepthError):
-            unproject(np.array([50.0, 50.0]), -2.0, _K())
+        for depth in (0.0, -2.0):
+            _, valid, _ = _warp_one([50.0, 50.0], depth, SE3Pose.identity(), _K())
+            assert not valid
 
 
 class TestWarpPoint:
     def test_identity_pose_keeps_pixel(self):
         k = _K()
         for depth in (0.5, 2.0, 9.0):
-            warped, valid = warp_point(np.array([37.0, 62.0]), depth, SE3Pose.identity(), k)
+            warped, valid, _ = _warp_one(np.array([37.0, 62.0]), depth, SE3Pose.identity(), k)
             assert valid
             np.testing.assert_allclose(warped, [37.0, 62.0], atol=1e-12)
 
     def test_pure_translation_case(self):
-        # X = unproject((55, 40), 2) = (0.1, -0.2, 2); shifting x by 0.1
+        # (55, 40) at depth 2 lifts to X = (0.1, -0.2, 2); shifting x by 0.1
         # gives (0.2, -0.2, 2) -> (100*0.2/2+50, 40) = (60, 40).
         pose = SE3Pose(np.eye(3), np.array([0.1, 0.0, 0.0]))
-        warped, valid = warp_point(np.array([55.0, 40.0]), 2.0, pose, _K())
+        warped, valid, _ = _warp_one(np.array([55.0, 40.0]), 2.0, pose, _K())
         assert valid
         np.testing.assert_allclose(warped, [60.0, 40.0], atol=1e-12)
 
@@ -218,19 +232,19 @@ class TestWarpPoint:
             )
             y = pose.rotation @ x + pose.translation
             expected = np.array([k.fx * y[0] / y[2] + k.cx, k.fy * y[1] / y[2] + k.cy])
-            warped, valid = warp_point(pixel, depth, pose, k)
+            warped, valid, _ = _warp_one(pixel, depth, pose, k)
             assert valid
             np.testing.assert_allclose(warped, expected, atol=1e-10)
 
     def test_out_of_margin_is_invalid(self):
         # A pixel right at the border projects inside [2, w-3] only if it
         # stays 2px away from the edge; identity warp of pixel u=1 fails.
-        warped, valid = warp_point(np.array([1.0, 50.0]), 2.0, SE3Pose.identity(), _K())
+        warped, valid, _ = _warp_one(np.array([1.0, 50.0]), 2.0, SE3Pose.identity(), _K())
         assert not valid
 
     def test_behind_camera_is_invalid_not_raising(self):
         pose = SE3Pose(np.eye(3), np.array([0.0, 0.0, -5.0]))
-        _, valid = warp_point(np.array([50.0, 50.0]), 2.0, pose, _K())
+        _, valid, _ = _warp_one(np.array([50.0, 50.0]), 2.0, pose, _K())
         assert not valid
 
     def test_batch_matches_single(self):
@@ -241,7 +255,7 @@ class TestWarpPoint:
         depths = rng.uniform(0.5, 10.0, size=40)
         warped, valid, _ = warp_points(pixels, depths, pose, k)
         for i in range(40):
-            w_single, v_single = warp_point(pixels[i], depths[i], pose, k)
+            w_single, v_single, _ = _warp_one(pixels[i], depths[i], pose, k)
             assert v_single == valid[i]
             if valid[i]:
                 np.testing.assert_allclose(warped[i], w_single, atol=0)
@@ -282,14 +296,15 @@ class TestPoseTwistJacobian:
             for col in range(6):
                 d = np.zeros(6)
                 d[col] = step
-                hi = project(boxplus(d, pose).transform(x), k)
-                lo = project(boxplus(-d, pose).transform(x), k)
+                hi = _pinhole(boxplus(d, pose).transform(x), k)
+                lo = _pinhole(boxplus(-d, pose).transform(x), k)
                 fd[:, col] = (hi - lo) / (2 * step)
             np.testing.assert_allclose(j, fd, rtol=1e-4, atol=1e-4)
 
     def test_projection_jacobian_hand_case(self):
+        # The translation columns are dPi/dY.
         # x=0.1, y=-0.2, z=2: [[50, 0, -100*0.1/4], [0, 50, -100*-0.2/4]]
-        j = projection_jacobian(np.array([0.1, -0.2, 2.0]), _K())
+        j = pose_twist_jacobian(np.array([[0.1, -0.2, 2.0]]), _K())[0, :, :3]
         expected = np.array([[50.0, 0.0, -2.5], [0.0, 50.0, 5.0]])
         np.testing.assert_allclose(j, expected, atol=1e-12)
 

@@ -223,6 +223,18 @@ class TestSolveStep:
         with pytest.raises(DegenerateSystemError):
             solve_step(h, np.ones(6))
 
+    def test_non_finite_system_raises(self):
+        h = np.eye(6)
+        for bad in (np.inf, -np.inf, np.nan):
+            h_bad = h.copy()
+            h_bad[2, 3] = h_bad[3, 2] = bad
+            with pytest.raises(DegenerateSystemError, match="non-finite"):
+                solve_step(h_bad, np.ones(6))
+            b_bad = np.ones(6)
+            b_bad[4] = bad
+            with pytest.raises(DegenerateSystemError, match="non-finite"):
+                solve_step(h, b_bad)
+
     def test_marquardt_damping_is_scale_invariant(self):
         # Rescaling Jacobian column k by s rescales the solved step's
         # component k by 1/s when damping follows the diagonal.
@@ -394,3 +406,17 @@ class TestConfigAndPoints:
     def test_point_set_rejects_nonpositive_depth(self):
         with pytest.raises(AlignmentError):
             SparsePointSet(uv=np.zeros((2, 2)), depths=np.array([1.0, 0.0]))
+
+    def test_point_set_rejects_non_finite_values(self, tmp_path):
+        for uv, depths in (
+            ([[1.0, 2.0], [3.0, np.nan]], [1.0, 2.0]),
+            ([[1.0, 2.0], [3.0, 4.0]], [np.nan, 2.0]),
+            ([[1.0, np.inf], [3.0, 4.0]], [1.0, 2.0]),
+            ([[1.0, 2.0], [3.0, 4.0]], [1.0, np.inf]),
+        ):
+            with pytest.raises(AlignmentError):
+                SparsePointSet(uv=np.array(uv), depths=np.array(depths))
+        path = tmp_path / "nan.txt"
+        path.write_text("10.0 12.0 2.0\n11.0 13.0 nan\n")
+        with pytest.raises(AlignmentError, match="finite"):
+            load_points_text(str(path))

@@ -10,20 +10,18 @@ import math
 import numpy as np
 import pytest
 
-from featalign.feature_maps import FeatureMap, bilinear_sample_many
+from featalign.feature_maps import FeatureMap, gather_stencil
 from featalign.losses import (
     DET_FLOOR,
+    FD_STEP,
     LOG_TWO_PI,
     CorrespondenceBatch,
     LossConfig,
     LossError,
+    _gn_pieces,
+    _solve_2x2,
     batch_terms,
-    gd_step_loss,
-    gn_step_loss,
     loss_gradient_fd,
-    match_loss,
-    negative_hinge_loss,
-    point_gn_system,
     sample_batch,
     total_loss,
 )
@@ -45,16 +43,65 @@ def constant_map(h, w, values):
     return FeatureMap(data)
 
 
+def one_row_batch(ref_uv, gt_uv, neg_uv, ring_uv, near_uv):
+    return CorrespondenceBatch(
+        ref_uv=np.asarray(ref_uv, dtype=np.float64)[None, :],
+        gt_uv=np.asarray(gt_uv, dtype=np.float64)[None, :],
+        neg_uv=np.asarray(neg_uv, dtype=np.float64)[None, :],
+        ring_uv=np.asarray(ring_uv, dtype=np.float64)[None, :],
+        near_uv=np.asarray(near_uv, dtype=np.float64)[None, :],
+    )
+
+
+def row_terms(ref, tgt, p, gt, neg=None, ring=None, near=None, config=None):
+    """The four loss terms of a one-row batch; unset samples sit at ``gt``."""
+    batch = one_row_batch(
+        p,
+        gt,
+        gt if neg is None else neg,
+        gt if ring is None else ring,
+        gt if near is None else near,
+    )
+    terms = batch_terms(ref, tgt, batch, LossConfig() if config is None else config)
+    return {name: float(values[0]) for name, values in terms.items()}
+
+
+def gn_system(ref, tgt, p, q):
+    """Residual, Jacobian, Hessian and rhs of one target sample, from its stencil."""
+    f_ref = gather_stencil(ref, np.asarray(p, dtype=np.float64)[None, :]).values()
+    st = gather_stencil(tgt, np.asarray(q, dtype=np.float64)[None, :])
+    res, jac, hess, rhs = _gn_pieces(st.corners, st.fu, st.fv, f_ref)
+    return res[0], jac[0], hess[0], rhs[0]
+
+
+def brute_gradient(ref_map, params, batch, config, entries, step=FD_STEP):
+    """Central differences of total_loss, rebuilding the whole map per entry.
+
+    The test oracle for loss_gradient_fd: every entry costs two full loss
+    evaluations, so calls are capped at 10,000 entries.
+    """
+    assert len(entries) <= 10_000, "entry budget is 10000 per call"
+    grad = np.zeros_like(params)
+    for (v, u, c) in entries:
+        bumped = params.copy()
+        bumped[v, u, c] = params[v, u, c] + step
+        up, _ = total_loss(ref_map, FeatureMap(bumped), batch, config)
+        bumped[v, u, c] = params[v, u, c] - step
+        down, _ = total_loss(ref_map, FeatureMap(bumped), batch, config)
+        grad[v, u, c] = (up - down) / (2.0 * step)
+    return grad
+
+
 class TestMatchLoss:
     def test_identical_point_is_zero(self):
         m = ramp_map(12, 12, [0.5, -0.25], [0.25, 0.5])
-        assert match_loss(m, m, (5.0, 6.0), (5.0, 6.0)) == 0.0
+        assert row_terms(m, m, (5.0, 6.0), (5.0, 6.0))["match"] == 0.0
 
     def test_constant_maps_hand_value(self):
         ref = constant_map(10, 10, [0.0, 0.0])
         tgt = constant_map(10, 10, [0.25, -0.5])
         # 0.25^2 + 0.5^2 = 0.3125 regardless of the sample positions
-        assert match_loss(ref, tgt, (3.0, 3.0), (6.5, 2.25)) == pytest.approx(
+        assert row_terms(ref, tgt, (3.0, 3.0), (6.5, 2.25))["match"] == pytest.approx(
             0.3125, abs=1e-12
         )
 
@@ -64,7 +111,7 @@ class TestMatchLoss:
         data[2, 3, 0] = 1.0  # neighbours stay 0
         tgt = FeatureMap(data)
         # halfway between (3,2) and (4,2): interpolated value 0.5
-        assert match_loss(ref, tgt, (1.0, 1.0), (3.5, 2.0)) == pytest.approx(
+        assert row_terms(ref, tgt, (1.0, 1.0), (3.5, 2.0))["match"] == pytest.approx(
             0.25, abs=1e-12
         )
 
@@ -73,19 +120,19 @@ class TestNegativeHinge:
     def test_identical_features_cost_full_margin(self):
         m = ramp_map(10, 10, [0.5], [0.25])
         p = (4.0, 4.0)
-        assert negative_hinge_loss(m, m, p, p, margin=1.0) == 1.0
+        terms = row_terms(m, m, p, p, neg=p, config=LossConfig(margin=1.0))
+        assert terms["negative"] == 1.0
 
     def test_partial_separation(self):
         ref = constant_map(10, 10, [0.0])
         tgt = constant_map(10, 10, [0.5])  # d2 = 0.25
-        assert negative_hinge_loss(ref, tgt, (2.0, 2.0), (7.0, 7.0)) == pytest.approx(
-            0.75, abs=1e-12
-        )
+        terms = row_terms(ref, tgt, (2.0, 2.0), (7.0, 7.0), neg=(7.0, 7.0))
+        assert terms["negative"] == pytest.approx(0.75, abs=1e-12)
 
     def test_wide_separation_is_free(self):
         ref = constant_map(10, 10, [0.0])
         tgt = constant_map(10, 10, [4.0])  # d2 = 16 > margin
-        assert negative_hinge_loss(ref, tgt, (2.0, 2.0), (7.0, 7.0)) == 0.0
+        assert row_terms(ref, tgt, (2.0, 2.0), (7.0, 7.0), neg=(7.0, 7.0))["negative"] == 0.0
 
 
 class TestPointGNSystem:
@@ -93,12 +140,12 @@ class TestPointGNSystem:
         # channel 0 rises along u, channel 1 along v: J = I, H = I
         tgt = ramp_map(12, 12, [1.0, 0.0], [0.0, 1.0])
         ref = constant_map(12, 12, [3.0, 4.0])
-        sys = point_gn_system(ref, tgt, (2.0, 2.0), (5.0, 7.0))
-        np.testing.assert_array_equal(sys.jacobian, np.eye(2))
-        np.testing.assert_array_equal(sys.hessian, np.eye(2))
+        res, jac, hess, rhs = gn_system(ref, tgt, (2.0, 2.0), (5.0, 7.0))
+        np.testing.assert_array_equal(jac, np.eye(2))
+        np.testing.assert_array_equal(hess, np.eye(2))
         # residual = F'(5,7) - (3,4) = (2, 3); rhs = -J^T r
-        np.testing.assert_allclose(sys.residual, [2.0, 3.0], atol=1e-12)
-        np.testing.assert_allclose(sys.rhs, [-2.0, -3.0], atol=1e-12)
+        np.testing.assert_allclose(res, [2.0, 3.0], atol=1e-12)
+        np.testing.assert_allclose(rhs, [-2.0, -3.0], atol=1e-12)
 
     def test_hessian_matches_jtj_and_is_psd(self):
         rng = np.random.default_rng(5)
@@ -108,11 +155,9 @@ class TestPointGNSystem:
         for _ in range(20):
             p = rng.uniform(2.0, 11.0, size=2)
             q = rng.uniform(2.0, 11.0, size=2)
-            sys = point_gn_system(ref, tgt, p, q)
-            np.testing.assert_allclose(
-                sys.hessian, sys.jacobian.T @ sys.jacobian, rtol=0, atol=1e-12
-            )
-            eigs = np.linalg.eigvalsh(sys.hessian)
+            _, jac, hess, _ = gn_system(ref, tgt, p, q)
+            np.testing.assert_allclose(hess, jac.T @ jac, rtol=0, atol=1e-12)
+            eigs = np.linalg.eigvalsh(hess)
             assert eigs.min() >= -1e-12
 
     def test_huge_damping_step_approaches_rhs_over_lambda(self):
@@ -121,11 +166,11 @@ class TestPointGNSystem:
         ref = FeatureMap(rng.normal(size=(16, 16, 2)))
         lam = 1e6
         for _ in range(10):
-            sys = point_gn_system(
+            _, _, hess, rhs = gn_system(
                 ref, tgt, rng.uniform(2, 13, size=2), rng.uniform(2, 13, size=2)
             )
-            step = sys.step(lam)
-            expected = sys.rhs / lam
+            step = _solve_2x2(hess[None], lam, rhs[None])[0]
+            expected = rhs / lam
             denom = np.linalg.norm(expected)
             if denom == 0.0:
                 continue
@@ -141,7 +186,7 @@ class TestGdStepLoss:
         cfg = LossConfig()
         gt = (11.0, 11.0)
         ring = (16.0, 11.0)
-        assert gd_step_loss(ref, tgt, (3.0, 3.0), ring, gt, cfg) == pytest.approx(
+        assert row_terms(ref, tgt, (3.0, 3.0), gt, ring=ring, config=cfg)["gd"] == pytest.approx(
             cfg.gd_margin, abs=1e-12
         )
 
@@ -151,7 +196,7 @@ class TestGdStepLoss:
         tgt = ramp_map(12, 24, [2.0], [0.0])
         ref = constant_map(12, 24, [20.0])  # 2 * gt_u
         cfg = LossConfig(lambda_f=2.0)
-        loss = gd_step_loss(ref, tgt, (10.0, 5.0), (15.0, 5.0), (10.0, 5.0), cfg)
+        loss = row_terms(ref, tgt, (10.0, 5.0), (10.0, 5.0), ring=(15.0, 5.0), config=cfg)["gd"]
         assert loss == 0.0
 
     def test_collinear_step_away_hand_value(self):
@@ -161,7 +206,7 @@ class TestGdStepLoss:
         tgt = ramp_map(12, 24, [2.0], [0.0])
         ref = constant_map(12, 24, [33.0])
         cfg = LossConfig(lambda_f=2.0, gd_margin=0.1)
-        loss = gd_step_loss(ref, tgt, (10.0, 5.0), (15.0, 5.0), (10.0, 5.0), cfg)
+        loss = row_terms(ref, tgt, (10.0, 5.0), (10.0, 5.0), ring=(15.0, 5.0), config=cfg)["gd"]
         assert loss == pytest.approx(11.1, abs=1e-12)
 
 
@@ -171,7 +216,7 @@ class TestGnStepLoss:
         gt = (6.0, 7.0)
         ref = constant_map(12, 12, [6.0, 7.0])  # residual 0 at gt
         cfg = LossConfig()
-        loss = gn_step_loss(ref, tgt, (2.0, 2.0), gt, gt, cfg)
+        loss = row_terms(ref, tgt, (2.0, 2.0), gt, near=gt, config=cfg)["gn"]
         assert loss == pytest.approx(LOG_TWO_PI, abs=1e-12)
 
     def test_scaled_hessian_log_det(self):
@@ -180,7 +225,7 @@ class TestGnStepLoss:
         gt = (6.0, 5.0)
         ref = constant_map(12, 12, [12.0, 10.0])
         cfg = LossConfig()
-        loss = gn_step_loss(ref, tgt, (2.0, 2.0), gt, gt, cfg)
+        loss = row_terms(ref, tgt, (2.0, 2.0), gt, near=gt, config=cfg)["gn"]
         assert loss == pytest.approx(LOG_TWO_PI - 0.5 * math.log(16.0), abs=1e-12)
 
     def test_unit_hessian_reduces_to_half_squared_distance(self):
@@ -191,7 +236,7 @@ class TestGnStepLoss:
         # density is evaluated on the remaining offset alone
         ref = constant_map(16, 16, [7.5, 8.25])
         cfg = LossConfig()
-        loss = gn_step_loss(ref, tgt, (2.0, 2.0), near, gt, cfg)
+        loss = row_terms(ref, tgt, (2.0, 2.0), gt, near=near, config=cfg)["gn"]
         expected = 0.5 * (0.5**2 + 0.25**2) + LOG_TWO_PI
         assert loss == pytest.approx(expected, abs=1e-12)
 
@@ -200,7 +245,7 @@ class TestGnStepLoss:
         tgt = constant_map(10, 10, [0.0])
         cfg = LossConfig()
         gt = (5.0, 5.0)
-        loss = gn_step_loss(ref, tgt, (2.0, 2.0), gt, gt, cfg)
+        loss = row_terms(ref, tgt, (2.0, 2.0), gt, near=gt, config=cfg)["gn"]
         assert loss == pytest.approx(LOG_TWO_PI - 0.5 * math.log(DET_FLOOR), abs=1e-9)
 
 
@@ -217,18 +262,10 @@ class TestChannelPermutation:
         p, gt, ring, near, neg = (
             (4.0, 5.0), (9.0, 9.0), (14.0, 9.0), (9.5, 8.75), (15.0, 15.0)
         )
-        assert match_loss(ref, tgt, p, gt) == pytest.approx(
-            match_loss(ref_p, tgt_p, p, gt), rel=1e-12
-        )
-        assert negative_hinge_loss(ref, tgt, p, neg) == pytest.approx(
-            negative_hinge_loss(ref_p, tgt_p, p, neg), rel=1e-12
-        )
-        assert gd_step_loss(ref, tgt, p, ring, gt, cfg) == pytest.approx(
-            gd_step_loss(ref_p, tgt_p, p, ring, gt, cfg), rel=1e-12
-        )
-        assert gn_step_loss(ref, tgt, p, near, gt, cfg) == pytest.approx(
-            gn_step_loss(ref_p, tgt_p, p, near, gt, cfg), rel=1e-12
-        )
+        terms = row_terms(ref, tgt, p, gt, neg, ring, near, cfg)
+        permuted = row_terms(ref_p, tgt_p, p, gt, neg, ring, near, cfg)
+        for name in ("match", "negative", "gd", "gn"):
+            assert terms[name] == pytest.approx(permuted[name], rel=1e-12)
 
 
 class TestSampleBatch:
@@ -350,32 +387,12 @@ class TestTotalLoss:
         cfg = LossConfig(gd_radius=3.0)
         terms = batch_terms(ref, tgt, batch, cfg)
         for i in range(len(batch)):
-            p = batch.ref_uv[i]
-            assert terms["match"][i] == pytest.approx(
-                match_loss(ref, tgt, p, batch.gt_uv[i]), rel=1e-12, abs=1e-14
+            row = row_terms(
+                ref, tgt, batch.ref_uv[i], batch.gt_uv[i],
+                batch.neg_uv[i], batch.ring_uv[i], batch.near_uv[i], cfg,
             )
-            assert terms["negative"][i] == pytest.approx(
-                negative_hinge_loss(ref, tgt, p, batch.neg_uv[i], cfg.margin),
-                rel=1e-12, abs=1e-14,
-            )
-            assert terms["gd"][i] == pytest.approx(
-                gd_step_loss(ref, tgt, p, batch.ring_uv[i], batch.gt_uv[i], cfg),
-                rel=1e-12, abs=1e-14,
-            )
-            assert terms["gn"][i] == pytest.approx(
-                gn_step_loss(ref, tgt, p, batch.near_uv[i], batch.gt_uv[i], cfg),
-                rel=1e-12, abs=1e-14,
-            )
-
-
-def one_row_batch(ref_uv, gt_uv, neg_uv, ring_uv, near_uv):
-    return CorrespondenceBatch(
-        ref_uv=np.asarray(ref_uv, dtype=np.float64)[None, :],
-        gt_uv=np.asarray(gt_uv, dtype=np.float64)[None, :],
-        neg_uv=np.asarray(neg_uv, dtype=np.float64)[None, :],
-        ring_uv=np.asarray(ring_uv, dtype=np.float64)[None, :],
-        near_uv=np.asarray(near_uv, dtype=np.float64)[None, :],
-    )
+            for name in ("match", "negative", "gd", "gn"):
+                assert terms[name][i] == pytest.approx(row[name], rel=1e-12, abs=1e-14)
 
 
 class TestLossGradientFD:
@@ -420,8 +437,8 @@ class TestLossGradientFD:
         batch = one_row_batch(p, gt, (12.0, 12.0), (10.0, 9.0), (7.25, 9.0))
         grad = loss_gradient_fd(ref, params, batch, cfg, step=2.0**-13)
 
-        f_ref, _ = bilinear_sample_many(ref, p[None, :])
-        f_tgt, _ = bilinear_sample_many(FeatureMap(params), gt[None, :])
+        f_ref = gather_stencil(ref, p[None, :]).values()
+        f_tgt = gather_stencil(FeatureMap(params), gt[None, :]).values()
         expected = 2.0 * (f_tgt[0, 0] - f_ref[0, 0])
         corner_sum = grad[9, 7, 0] + grad[9, 8, 0] + grad[10, 7, 0] + grad[10, 8, 0]
         assert corner_sum == pytest.approx(expected, rel=1e-9)
@@ -457,20 +474,10 @@ class TestLossGradientFD:
             (v0, u0, 0), (v0, u0 + 1, 0), (v0 + 1, u0, 1),
             (2, 2, 0),  # far from every sample
         ]
-        fast = loss_gradient_fd(ref, params, batch, cfg, entries=entries)
-        brute = loss_gradient_fd(ref, params, batch, cfg, entries=entries, method="brute")
-        np.testing.assert_allclose(fast, brute, rtol=1e-8, atol=1e-12)
+        fast = loss_gradient_fd(ref, params, batch, cfg)
+        brute = brute_gradient(ref, params, batch, cfg, entries)
+        rows, cols, chans = np.array(entries).T
+        np.testing.assert_allclose(
+            fast[rows, cols, chans], brute[rows, cols, chans], rtol=1e-8, atol=1e-12
+        )
         assert fast[2, 2, 0] == 0.0
-
-    def test_brute_requires_entries_and_bounded_budget(self):
-        ref, params, batch, cfg = self._random_problem()
-        with pytest.raises(LossError):
-            loss_gradient_fd(ref, params, batch, cfg, method="brute")
-        too_many = [(0, 0, 0)] * 10_001
-        with pytest.raises(LossError):
-            loss_gradient_fd(ref, params, batch, cfg, entries=too_many, method="brute")
-
-    def test_unknown_method_rejected(self):
-        ref, params, batch, cfg = self._random_problem()
-        with pytest.raises(LossError):
-            loss_gradient_fd(ref, params, batch, cfg, method="exact")
