@@ -47,9 +47,11 @@ class FeatureMap:
             vals = vals[:, :, None]
         if vals.ndim != 3:
             raise FeatureMapError(f"feature map must be (h, w, d), got {vals.shape}")
+        # Checked after the cast, so values past the float32 range fail too.
+        with np.errstate(over="ignore"):
+            vals = np.ascontiguousarray(vals, dtype=np.float32)
         if not np.all(np.isfinite(vals)):
-            raise FeatureMapError("feature map contains non-finite values")
-        vals = np.ascontiguousarray(vals, dtype=np.float32)
+            raise FeatureMapError("feature map contains non-finite or out-of-float32-range values")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 

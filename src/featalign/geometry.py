@@ -31,6 +31,8 @@ SMALL_ANGLE = 1e-8
 NEAR_PI_MARGIN = 1e-6
 
 _ORTHONORMAL_TOL = 1e-9
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
 
 
 class GeometryError(ValueError):
@@ -67,19 +69,19 @@ class SE3Pose:
     translation: np.ndarray
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.rotation, dtype=np.float64)
-        t = np.asarray(self.translation, dtype=np.float64)
+        r = np.array(self.rotation, dtype=np.float64)
+        t = np.array(self.translation, dtype=np.float64)
         if r.shape != (3, 3) or t.shape != (3,):
             raise GeometryError(f"bad pose shapes {r.shape}, {t.shape}")
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
+        if not (np.isfinite(r).all() and np.isfinite(t).all()):
             raise GeometryError("pose contains non-finite entries")
-        err = np.abs(r.T @ r - np.eye(3)).max()
+        err = np.abs(r.T @ r - _EYE3).max()
         if err > _ORTHONORMAL_TOL:
             raise GeometryError(f"rotation not orthonormal (|R'R - I| = {err:.3e})")
-        if np.linalg.det(r) < 0.0:
+        # Determinant by cofactors: within 1e-8 of +1 or -1 once R'R = I holds.
+        (a, b, c), (d, e, f), (g, h, i) = r.tolist()
+        if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) < 0.0:
             raise GeometryError("rotation has negative determinant")
-        r = r.copy()
-        t = t.copy()
         r.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "rotation", r)
@@ -163,8 +165,8 @@ class CameraIntrinsics:
         )
 
 
-def se3_exp(delta: np.ndarray) -> SE3Pose:
-    """Exponential map from a twist ``(v, omega)`` to a pose.
+def _exp_arrays(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation and translation of ``exp(delta)``, not yet checked as a pose.
 
     Rodrigues formula for the rotation; the translation is ``V(omega) @ v``
     with the standard left Jacobian ``V``. Coefficients switch to their
@@ -175,6 +177,8 @@ def se3_exp(delta: np.ndarray) -> SE3Pose:
         raise GeometryError(f"twist must have shape (6,), got {d.shape}")
     v, w = d[:3], d[3:]
     theta = np.linalg.norm(w)
+    if not math.isfinite(theta):
+        raise GeometryError("twist rotation is not finite")
     k = _skew(w)
     k2 = k @ k
     if theta < SMALL_ANGLE:
@@ -188,7 +192,12 @@ def se3_exp(delta: np.ndarray) -> SE3Pose:
         c = (theta - math.sin(theta)) / theta**3
     rot = np.eye(3) + a * k + b * k2
     vmat = np.eye(3) + b * k + c * k2
-    return SE3Pose(rot, vmat @ v)
+    return rot, vmat @ v
+
+
+def se3_exp(delta: np.ndarray) -> SE3Pose:
+    """Exponential map from a twist ``(v, omega)`` to a pose."""
+    return SE3Pose(*_exp_arrays(delta))
 
 
 def se3_log(pose: SE3Pose) -> np.ndarray:
@@ -219,8 +228,13 @@ def se3_log(pose: SE3Pose) -> np.ndarray:
 
 
 def boxplus(delta: np.ndarray, pose: SE3Pose) -> SE3Pose:
-    """Left-compositional pose update ``exp(delta) * pose``."""
-    return se3_exp(delta).compose(pose)
+    """Left-compositional pose update ``exp(delta) * pose``.
+
+    Bit-for-bit ``se3_exp(delta).compose(pose)``, with the pose checks run
+    once, on the product: a non-finite ``exp(delta)`` fails them there.
+    """
+    rot, trans = _exp_arrays(delta)
+    return SE3Pose(rot @ pose.rotation, rot @ pose.translation + trans)
 
 
 # Points projecting closer than this to the image border are invalid; it
@@ -228,32 +242,33 @@ def boxplus(delta: np.ndarray, pose: SE3Pose) -> SE3Pose:
 WARP_MARGIN = 2.0
 
 
-def _warp_batch(
-    pixels: np.ndarray,
-    depths: np.ndarray,
-    rotations: np.ndarray,
-    translations: np.ndarray,
-    intrinsics: CameraIntrinsics,
-    margin: float = WARP_MARGIN,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """warp_points over a stack of M poses, (M, 3, 3) rotations + (M, 3) translations.
-
-    Returns ``(warped, valid, transformed)`` shaped (M, n, 2), (M, n) and
-    (M, n, 3). The stacked product applies each pose exactly as the
-    one-pose ``pts @ R.T + t`` would.
-    """
+def _unproject(
+    pixels: np.ndarray, depths: np.ndarray, intrinsics: CameraIntrinsics
+) -> np.ndarray:
+    """Reference-frame 3-D points (n, 3) of pixels with known depths."""
     uv = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
     d = np.asarray(depths, dtype=np.float64).reshape(-1)
     if uv.shape[0] != d.shape[0]:
         raise GeometryError("pixel and depth counts differ")
-
     x = d * (uv[:, 0] - intrinsics.cx) / intrinsics.fx
     y = d * (uv[:, 1] - intrinsics.cy) / intrinsics.fy
-    pts = np.stack([x, y, d], axis=1)
-    transformed = pts @ rotations.transpose(0, 2, 1) + translations[:, None]
+    return np.stack([x, y, d], axis=1)
 
+
+def _project_batch(
+    points: np.ndarray, rotations: np.ndarray, translations: np.ndarray,
+    intrinsics: CameraIntrinsics, margin: float = WARP_MARGIN,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Move ``_unproject``'s points through a stack of M poses and project them.
+
+    Rotations are (M, 3, 3), translations (M, 3). Returns ``(warped, valid,
+    transformed)`` shaped (M, n, 2), (M, n) and (M, n, 3). The stacked
+    product applies each pose exactly as the one-pose ``pts @ R.T + t``
+    would.
+    """
+    transformed = points @ rotations.transpose(0, 2, 1) + translations[:, None]
     z = transformed[..., 2]
-    valid = (d > 0.0) & (z > Z_MIN)
+    valid = (points[:, 2] > 0.0) & (z > Z_MIN)
     zsafe = np.where(valid, z, 1.0)
     warped = np.stack(
         [
@@ -282,8 +297,9 @@ def warp_points(
     non-positive, the transformed point falls at or behind the camera, or
     the projection lies outside the margin-shrunk image.
     """
-    warped, valid, transformed = _warp_batch(
-        pixels, depths, pose.rotation[None], pose.translation[None], intrinsics, margin
+    warped, valid, transformed = _project_batch(
+        _unproject(pixels, depths, intrinsics),
+        pose.rotation[None], pose.translation[None], intrinsics, margin,
     )
     return warped[0], valid[0], transformed[0]
 

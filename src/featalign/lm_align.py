@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,13 +22,15 @@ from .feature_maps import (
     SAMPLE_MARGIN,
     FeatureMap,
     FeaturePyramid,
+    Stencil,
     gather_stencil,
     in_margins,
 )
 from .geometry import (
     CameraIntrinsics,
     SE3Pose,
-    _warp_batch,
+    _project_batch,
+    _unproject,
     boxplus,
     pose_twist_jacobian,
     warp_points,
@@ -186,47 +188,67 @@ class ResidualEval:
     energy: float
     warped: np.ndarray  # (n, 2) target pixels, meaningful where valid
     transformed: np.ndarray  # (n, 3) target-frame points, meaningful where valid
+    stencil: Stencil  # target samples of the valid points, in point order
 
     @property
     def n_valid(self) -> int:
         return int(self.valid.sum())
 
 
+class _LevelInputs(NamedTuple):
+    """The pose-independent half of one level's residuals."""
+
+    points: np.ndarray  # (n, 3) reference-frame points
+    in_ref: np.ndarray  # (n,) bool, sampleable in the reference map
+    ref_vals: np.ndarray  # (n, D) reference samples, zero where not in_ref
+
+
+def _level_inputs(
+    ref: FeatureMap, uv: np.ndarray, depths: np.ndarray, intrinsics: CameraIntrinsics
+) -> _LevelInputs:
+    uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
+    points = _unproject(uv, depths, intrinsics)
+    in_ref = in_margins(uv, ref.width, ref.height, SAMPLE_MARGIN)
+    ref_vals = np.zeros((uv.shape[0], ref.channels))
+    ref_vals[in_ref] = gather_stencil(ref, uv[in_ref]).values()
+    return _LevelInputs(points, in_ref, ref_vals)
+
+
 def _residuals_batched(
-    ref: FeatureMap,
-    tgt: FeatureMap,
-    uv: np.ndarray,
-    depths: np.ndarray,
-    rotations: np.ndarray,
-    translations: np.ndarray,
-    intrinsics: CameraIntrinsics,
-    margin: float = 2.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    level: _LevelInputs, tgt: FeatureMap, rotations: np.ndarray, translations: np.ndarray,
+    intrinsics: CameraIntrinsics, margin: float = 2.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, Stencil]:
     """Residuals of one level at a stack of M poses, (M, 3, 3) + (M, 3).
 
-    Returns ``(residuals, norms, valid, warped, transformed)`` shaped
-    (M, n, D), (M, n), (M, n), (M, n, 2) and (M, n, 3); invalid points hold
-    zero residuals and norms. The reference samples do not depend on the
-    pose and are gathered once per call.
+    Returns ``(residuals, norms, valid, warped, transformed, stencil)``
+    shaped (M, n, D), (M, n), (M, n), (M, n, 2) and (M, n, 3), plus the
+    target stencil of the valid points in row-major (pose, point) order.
+    Invalid points hold zero residuals and norms.
     """
-    uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
-    in_ref = in_margins(uv, ref.width, ref.height, SAMPLE_MARGIN)
-    warped, valid, transformed = _warp_batch(
-        uv, depths, rotations, translations, intrinsics, margin
+    warped, valid, transformed = _project_batch(
+        level.points, rotations, translations, intrinsics, margin
     )
-    valid &= in_ref
-
-    ref_vals = np.zeros((uv.shape[0], ref.channels))
-    if in_ref.any():
-        ref_vals[in_ref] = gather_stencil(ref, uv[in_ref]).values()
+    valid &= level.in_ref
     residuals = np.zeros(valid.shape + (tgt.channels,))
     norms = np.zeros(valid.shape)
-    if valid.any():
-        tgt_vals = gather_stencil(tgt, warped[valid]).values()
-        res = tgt_vals - np.broadcast_to(ref_vals, residuals.shape)[valid]
-        residuals[valid] = res
-        norms[valid] = np.linalg.norm(res, axis=1)
-    return residuals, norms, valid, warped, transformed
+    stencil = gather_stencil(tgt, warped[valid])
+    res = stencil.values() - level.ref_vals[np.nonzero(valid)[1]]
+    residuals[valid] = res
+    norms[valid] = np.linalg.norm(res, axis=1)
+    return residuals, norms, valid, warped, transformed, stencil
+
+
+def _evaluate(
+    level: _LevelInputs, tgt: FeatureMap, pose: SE3Pose, intrinsics: CameraIntrinsics,
+    huber_gamma: float, margin: float,
+) -> ResidualEval:
+    """The kernel at one pose, as compute_residuals returns it."""
+    residuals, norms, valid, warped, transformed, stencil = _residuals_batched(
+        level, tgt, pose.rotation[None], pose.translation[None], intrinsics, margin
+    )
+    valid, norms = valid[0], norms[0]
+    energy = huber_energy(norms[valid], huber_gamma)
+    return ResidualEval(residuals[0], valid, norms, energy, warped[0], transformed[0], stencil)
 
 
 def compute_residuals(
@@ -245,21 +267,23 @@ def compute_residuals(
     warp leaves the margins, falls behind the camera, or whose own
     coordinates cannot be sampled in the reference are marked invalid and
     contribute nothing. This is the one-pose case of the kernel the seed
-    grid search scores its candidates with.
+    grid search scores its candidates with and the solver iterates.
     """
-    residuals, norms, valid, warped, transformed = _residuals_batched(
-        ref, tgt, uv, depths, pose.rotation[None], pose.translation[None], intrinsics, margin
+    return _evaluate(
+        _level_inputs(ref, uv, depths, intrinsics), tgt, pose, intrinsics, huber_gamma, margin
     )
-    valid = valid[0]
-    norms = norms[0]
-    return ResidualEval(
-        residuals=residuals[0],
-        valid=valid,
-        norms=norms,
-        energy=huber_energy(norms[valid], huber_gamma),
-        warped=warped[0],
-        transformed=transformed[0],
-    )
+
+
+def _stencil_jacobian(
+    stencil: Stencil, transformed: np.ndarray, intrinsics: CameraIntrinsics
+) -> np.ndarray:
+    """d(residual)/d(twist) at delta = 0 of sampled points, (m, D, 2) @ (m, 2, 6).
+
+    The reference term has no pose dependence, so the Jacobian is the
+    target feature gradient chained with the projection and the left-update
+    point motion of the target-frame points ``transformed``.
+    """
+    return stencil.gradients() @ pose_twist_jacobian(transformed, intrinsics)
 
 
 def compute_jacobian(
@@ -270,20 +294,14 @@ def compute_jacobian(
     intrinsics: CameraIntrinsics,
     margin: float = 2.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """d(residual)/d(twist) at delta = 0, shape (n, D, 2) @ (2, 6) -> (n, D, 6).
+    """d(residual)/d(twist) at delta = 0, shape (n, D, 6), and the warp mask.
 
-    Rows of invalid points are zero. The reference term has no pose
-    dependence, so the Jacobian is the target feature gradient chained with
-    the projection and the left-update point motion.
+    Rows of points whose warp is invalid are zero.
     """
-    uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
-    n = uv.shape[0]
     warped, valid, transformed = warp_points(uv, depths, pose, intrinsics, margin=margin)
-    jac = np.zeros((n, tgt.channels, 6))
-    if np.any(valid):
-        grads = gather_stencil(tgt, warped[valid]).gradients()  # (m, D, 2)
-        twist = pose_twist_jacobian(transformed[valid], intrinsics)  # (m, 2, 6)
-        jac[valid] = grads @ twist
+    jac = np.zeros((valid.shape[0], tgt.channels, 6))
+    stencil = gather_stencil(tgt, warped[valid])
+    jac[valid] = _stencil_jacobian(stencil, transformed[valid], intrinsics)
     return jac, valid
 
 
@@ -434,18 +452,21 @@ def align_level(
 ) -> tuple[SE3Pose, LevelStats]:
     """Run damped Gauss-Newton iterations on a single pyramid level.
 
-    ``uv`` must be in this level's coordinates. The system is rebuilt only
-    after an accepted step; rejected steps reuse it with a larger damping
-    factor, which is equivalent to rebuilding at the unchanged pose.
+    ``uv`` must be in this level's coordinates. The reference samples and
+    the unprojected points are computed once; the Jacobian reuses the
+    target stencil the residuals were sampled with. The system is rebuilt
+    only after an accepted step; rejected steps reuse it with a larger
+    damping factor, which is equivalent to rebuilding at the unchanged pose.
     """
-    n = np.asarray(uv).reshape(-1, 2).shape[0]
-    stats = LevelStats(level=level, n_points=n)
+    inputs = _level_inputs(ref, uv, depths, intrinsics)
+    stats = LevelStats(level=level, n_points=inputs.points.shape[0])
     pose = init_pose
     lam = config.lambda_init
 
-    current = compute_residuals(
-        ref, tgt, uv, depths, pose, intrinsics, config.huber_gamma, config.margin
-    )
+    def evaluate(at: SE3Pose) -> ResidualEval:
+        return _evaluate(inputs, tgt, at, intrinsics, config.huber_gamma, config.margin)
+
+    current = evaluate(pose)
     if current.n_valid < config.min_valid_points:
         stats.skipped_reason = (
             f"insufficient overlap: {current.n_valid} valid points "
@@ -463,10 +484,11 @@ def align_level(
             stats.termination = "lambda_cap"
             break
         if not system_fresh:
-            jac, jac_valid = compute_jacobian(tgt, uv, depths, pose, intrinsics, config.margin)
-            weights = huber_weights(current.norms, config.huber_gamma) * (
-                current.valid & jac_valid
+            jac = np.zeros(current.residuals.shape + (6,))
+            jac[current.valid] = _stencil_jacobian(
+                current.stencil, current.transformed[current.valid], intrinsics
             )
+            weights = huber_weights(current.norms, config.huber_gamma) * current.valid
             h, b = build_normal_equations(jac, current.residuals, weights)
             system_fresh = True
 
@@ -500,9 +522,7 @@ def align_level(
             break
 
         candidate = boxplus(delta, pose)
-        cand_eval = compute_residuals(
-            ref, tgt, uv, depths, candidate, intrinsics, config.huber_gamma, config.margin
-        )
+        cand_eval = evaluate(candidate)
         rec.candidate_energy = cand_eval.energy
 
         if cand_eval.n_valid >= config.min_valid_points and cand_eval.energy < current.energy:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .feature_maps import FeatureMap, FeaturePyramid
 from .geometry import CameraIntrinsics, SE3Pose
-from .lm_align import SparsePointSet, _huber, _residuals_batched, compute_residuals
+from .lm_align import SparsePointSet, _huber, _level_inputs, _residuals_batched, compute_residuals
 
 CORRELATION_BUDGET = 4096  # max pixels per map in the all-pairs product
 
@@ -188,8 +188,8 @@ def _grid_energies(
     points. Rows are summed with their invalid (zero) entries in place, so
     an energy can differ from candidate_energy's in the last bits.
     """
-    _, norms, valid, _, _ = _residuals_batched(
-        ref_l1, tgt_l1, uv1, depths, rotations, translations, k1
+    _, norms, valid, _, _, _ = _residuals_batched(
+        _level_inputs(ref_l1, uv1, depths, k1), tgt_l1, rotations, translations, k1
     )
     n_valid = valid.sum(axis=1)
     energies = np.full(valid.shape[0], np.inf)

@@ -25,12 +25,13 @@ import numpy as np
 from .feature_maps import (
     SAMPLE_MARGIN,
     FeatureMap,
+    SampleOutOfBoundsError,
     build_baseline_pyramid,
     gather_stencil,
     in_margins,
 )
 from .geometry import SE3Pose, boxplus, se3_exp, warp_points
-from .lm_align import LMConfig, SparsePointSet, align_level
+from .lm_align import AlignmentError, LMConfig, SparsePointSet, align_level
 from .losses import LossConfig, LossError, loss_gradient_fd, sample_batch, total_loss
 from .synth import (
     SceneConfig,
@@ -258,7 +259,8 @@ def evaluate_alignment(
                     ref_map, tgt_map, pair.points.uv, pair.points.depths,
                     init, k, lm,
                 )
-            except Exception:
+            except (AlignmentError, SampleOutOfBoundsError):
+                # The solver failures run_trial records; anything else is a bug.
                 continue
             est_warp, est_valid, _ = warp_points(
                 pair.points.uv, pair.points.depths, pose, k

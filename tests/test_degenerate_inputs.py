@@ -4,8 +4,10 @@ One pre-built benchmark pair is distorted along the axes that have broken
 the solver or its reports before: feature scale (down to 1e-40, up past
 the float32 range, or all zero), points moved onto the image border,
 depths scaled from 1e-300 to 1e300, any ground-truth rotation up to near
-pi, and both init modes. Each run must return a record (never raise), and
-the one-record report must be strict JSON.
+pi, and both init modes. A scale that takes a map past the float32 range
+must fail at map construction with FeatureMapError; every other run must
+return a record (never raise), and the one-record report must be strict
+JSON.
 """
 
 import functools
@@ -13,11 +15,12 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from featalign.evaluation import report_json_text, run_trial
-from featalign.feature_maps import FeatureMap, FeaturePyramid
+from featalign.feature_maps import FeatureMap, FeatureMapError, FeaturePyramid
 from featalign.geometry import SE3Pose, se3_exp
 from featalign.lm_align import SparsePointSet
 from featalign.synth import DatasetConfig, generate_pair
@@ -32,6 +35,14 @@ def _scaled(pyramid, factor):
     return FeaturePyramid(
         [FeatureMap(level.values.astype(np.float64) * factor) for level in pyramid.levels]
     )
+
+
+def _overflows_float32(pyramid, factor):
+    with np.errstate(all="ignore"):
+        return any(
+            np.isinf((level.values.astype(np.float64) * factor).astype(np.float32)).any()
+            for level in pyramid.levels
+        )
 
 
 def _reject_constant(name):
@@ -68,6 +79,15 @@ def test_degenerate_pair_ends_as_a_record(
     rotvec = angle * np.asarray(axis) / np.linalg.norm(axis)
     gt_rotation = se3_exp(np.concatenate([np.zeros(3), rotvec])).rotation
     gt = SE3Pose(gt_rotation, pair.gt_pose.translation)
+
+    overflowing = [
+        p for p in (pair.ref_pyramid, pair.tgt_pyramid) if _overflows_float32(p, feature_scale)
+    ]
+    for pyramid in overflowing:
+        with pytest.raises(FeatureMapError):
+            _scaled(pyramid, feature_scale)
+    if overflowing:
+        return
 
     # Overflow warnings are part of the inputs under test, not a failure.
     with np.errstate(all="ignore"):

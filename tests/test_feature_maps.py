@@ -104,6 +104,12 @@ class TestFeatureMapType:
         with pytest.raises(FeatureMapError):
             FeatureMap(bad)
 
+    def test_rejects_values_past_float32_range(self):
+        bad = np.zeros((8, 8))
+        bad[3, 3] = -1e39
+        with pytest.raises(FeatureMapError):
+            FeatureMap(bad)
+
     def test_values_read_only(self):
         fmap = FeatureMap(np.zeros((8, 8), dtype=np.float32))
         with pytest.raises(ValueError):

@@ -142,6 +142,34 @@ class TestBoxplus:
         np.testing.assert_allclose(updated.translation, [1.0, 0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(updated.rotation, pose.rotation, atol=1e-15)
 
+    def test_bit_identical_to_exp_then_compose(self):
+        rng = np.random.default_rng(11)
+        for scale in (1e-12, 1e-9, 1e-3, 0.3, 2.0):
+            for _ in range(20):
+                delta = scale * rng.uniform(-1, 1, size=6)
+                pose = se3_exp(rng.uniform(-2, 2, size=6))
+                got = boxplus(delta, pose)
+                want = se3_exp(delta).compose(pose)
+                assert got.rotation.tobytes() == want.rotation.tobytes()
+                assert got.translation.tobytes() == want.translation.tobytes()
+
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            [0.0, 0.0, 0.0, np.nan, 0.0, 0.0],
+            [np.nan, 0.1, 0.1, 0.1, 0.1, 0.1],
+            [1.7e308, 1.7e308, 1.7e308, 0.0, 0.0, 0.5],  # V(omega) @ v overflows
+            [0.0, 0.0, 0.0, 1e200, 0.0, 0.0],  # |omega| overflows
+        ],
+    )
+    def test_rejects_non_finite_exp(self, delta):
+        pose = se3_exp(np.array([0.1, 0.2, 0.3, 0.01, 0.02, 0.03]))
+        with np.errstate(all="ignore"):
+            with pytest.raises(GeometryError):
+                se3_exp(np.array(delta))
+            with pytest.raises(GeometryError):
+                boxplus(np.array(delta), pose)
+
     def test_updates_commute_to_first_order(self):
         # The defect of combining two updates in one step shrinks as
         # O(|delta|^2): scaling deltas by 0.1 must shrink it ~100x.
@@ -341,6 +369,19 @@ class TestSE3PoseValidation:
         refl = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(GeometryError):
             SE3Pose(refl, np.zeros(3))
+
+    def test_rejects_negated_rotation(self):
+        rot = se3_exp(np.array([0.0, 0.0, 0.0, 0.4, -1.1, 2.0])).rotation
+        with pytest.raises(GeometryError, match="determinant"):
+            SE3Pose(-rot, np.zeros(3))
+
+    @pytest.mark.parametrize("where", ["rotation", "translation"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, where, value):
+        r, t = np.eye(3), np.zeros(3)
+        (r if where == "rotation" else t)[0] = value
+        with pytest.raises(GeometryError, match="non-finite"):
+            SE3Pose(r, t)
 
     def test_arrays_are_read_only(self):
         pose = SE3Pose.identity()

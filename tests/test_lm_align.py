@@ -17,6 +17,10 @@ from featalign.lm_align import (
     LMConfig,
     PointFileError,
     SparsePointSet,
+    _evaluate,
+    _level_inputs,
+    _residuals_batched,
+    _stencil_jacobian,
     align_coarse_to_fine,
     align_level,
     build_normal_equations,
@@ -148,6 +152,59 @@ class TestComputeJacobian:
             assert np.abs(jac[0] - fd).max() / scale < 1e-3
             checked += 1
         assert checked >= 25
+
+
+class TestPerLevelKernel:
+    """The solver's per-level path reproduces the one-pose functions bit for bit."""
+
+    @staticmethod
+    def _scene():
+        rng = np.random.default_rng(12)
+        smooth = np.cumsum(np.cumsum(rng.normal(size=(64, 64, 2)), axis=0), axis=1)
+        smooth = (smooth - smooth.mean()) / smooth.std()
+        ref = FeatureMap(smooth + rng.normal(0.0, 0.1, size=smooth.shape))
+        tgt = FeatureMap(smooth)
+        # Points reach onto the border, so the reference and warp masks differ.
+        uv, depths = _grid_points(rng, n=60, lo=0.0, hi=63.0)
+        poses = [SE3Pose.identity(), SE3Pose(np.eye(3), np.array([0.15, -0.1, 0.0]))]
+        poses += [se3_exp(rng.uniform(-0.05, 0.05, size=6)) for _ in range(5)]
+        return ref, tgt, uv, depths, poses
+
+    def test_level_inputs_reused_across_poses_match_compute_residuals(self):
+        ref, tgt, uv, depths, poses = self._scene()
+        k = _K64()
+        level = _level_inputs(ref, uv, depths, k)
+        rotations = np.stack([p.rotation for p in poses])
+        translations = np.stack([p.translation for p in poses])
+        stacked = _residuals_batched(level, tgt, rotations, translations, k)
+        offset = 0
+        for i, pose in enumerate(poses):
+            want = compute_residuals(ref, tgt, uv, depths, pose, k)
+            assert 0 < want.n_valid < len(uv)
+            got = _evaluate(level, tgt, pose, k, 0.3, 2.0)
+            assert got.energy == want.energy
+            for name in ("residuals", "valid", "norms", "warped", "transformed"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert got.stencil.corners.tobytes() == want.stencil.corners.tobytes()
+            for row, name in zip(stacked, ("residuals", "norms", "valid", "warped", "transformed")):
+                assert row[i].tobytes() == getattr(want, name).tobytes()
+            rows = slice(offset, offset + want.n_valid)
+            assert stacked[5].corners[rows].tobytes() == want.stencil.corners.tobytes()
+            offset += want.n_valid
+        assert offset == len(stacked[5].corners)
+
+    def test_stencil_jacobian_matches_compute_jacobian(self):
+        ref, tgt, uv, depths, poses = self._scene()
+        k = _K64()
+        warp_only = 0
+        for pose in poses:
+            ev = compute_residuals(ref, tgt, uv, depths, pose, k)
+            jac, jac_valid = compute_jacobian(tgt, uv, depths, pose, k)
+            assert not (ev.valid & ~jac_valid).any()
+            warp_only += int((jac_valid & ~ev.valid).sum())
+            got = _stencil_jacobian(ev.stencil, ev.transformed[ev.valid], k)
+            assert got.tobytes() == jac[ev.valid].tobytes()
+        assert warp_only > 0
 
 
 class TestNormalEquations:

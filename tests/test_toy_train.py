@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from featalign.lm_align import compute_residuals
+from featalign import toy_train
+from featalign.lm_align import AlignmentError, compute_residuals
 from featalign.losses import LossConfig
 from featalign.synth import SynthError, mean_flow
 from featalign.geometry import se3_exp
@@ -112,3 +113,19 @@ class TestEvaluation:
         assert 0.0 <= rate <= 1.0
         if rate > 0:
             assert 0.0 <= acc < cfg.success_flow_px
+
+    def test_solver_failure_counts_as_a_miss(self, small_set, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AlignmentError("no overlap")
+
+        monkeypatch.setattr(toy_train, "align_level", fail)
+        rate, acc = evaluate_alignment(small_set, small_set.init_params, ToyTrainConfig())
+        assert rate == 0.0 and np.isnan(acc)
+
+    def test_programming_error_propagates(self, small_set, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bad call")
+
+        monkeypatch.setattr(toy_train, "align_level", broken)
+        with pytest.raises(TypeError, match="bad call"):
+            evaluate_alignment(small_set, small_set.init_params, ToyTrainConfig())
