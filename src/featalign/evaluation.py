@@ -134,9 +134,7 @@ def run_trial(
 ) -> TrialRecord:
     """Align one pair and measure it against ground truth.
 
-    A trial counts as converged only when the solver ran the finest level to
-    a step-norm exit; running out of iterations or hitting the damping cap
-    leaves the record non-converged even though the pose may be usable.
+    ``converged`` is the solver's verdict (``AlignmentResult.converged``).
     Exceptions are captured in ``failure`` and scored at the init pose.
     """
     if lm_config is None:
@@ -161,11 +159,8 @@ def run_trial(
         )
         est_pose = result.pose
         iterations = result.total_iterations
-        attempted = [s for s in result.levels if s.skipped_reason is None]
-        if result.converged and attempted:
-            converged = attempted[-1].termination == "step_norm"
-        if not result.converged and result.failure_reason:
-            failure = result.failure_reason
+        converged = result.converged
+        failure = result.failure_reason or ""
     except (AlignmentError, InitError, SynthError, SampleOutOfBoundsError) as exc:
         failure = f"{type(exc).__name__}: {exc}"
     wall = time.perf_counter() - start

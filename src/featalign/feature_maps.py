@@ -240,7 +240,7 @@ def _level_channels(image: np.ndarray, config: PyramidConfig) -> np.ndarray:
 
 
 def build_baseline_pyramid(
-    image: np.ndarray | FeatureMap, config: PyramidConfig | None = None
+    image: np.ndarray, config: PyramidConfig | None = None
 ) -> FeaturePyramid:
     """Four-level pyramid of intensity-derived channels.
 
@@ -251,16 +251,9 @@ def build_baseline_pyramid(
     """
     if config is None:
         config = PyramidConfig()
-    if isinstance(image, FeatureMap):
-        if image.channels != 1:
-            raise FeatureMapError("pyramid input must be single-channel")
-        img = image.values[:, :, 0].astype(np.float64)
-    else:
-        img = np.asarray(image, dtype=np.float64)
-        if img.ndim == 3 and img.shape[2] == 1:
-            img = img[:, :, 0]
-        if img.ndim != 2:
-            raise FeatureMapError(f"pyramid input must be 2-D, got shape {img.shape}")
+    img = np.asarray(image, dtype=np.float64)
+    if img.ndim != 2:
+        raise FeatureMapError(f"pyramid input must be 2-D, got shape {img.shape}")
     h, w = img.shape
     if h < 8 or w < 8:
         raise FeatureMapError(f"image {w}x{h} too small for a 4-level pyramid")

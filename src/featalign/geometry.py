@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .configfile import dataclass_from_mapping
 from .feature_maps import in_margins
 
 # Depth of a camera-frame point must exceed this before projection.
@@ -148,21 +149,7 @@ class CameraIntrinsics:
     @classmethod
     def from_mapping(cls, mapping) -> "CameraIntrinsics":
         """Build from config-file strings; all six fields are required."""
-        required = ("fx", "fy", "cx", "cy", "width", "height")
-        missing = [k for k in required if k not in mapping]
-        if missing:
-            raise GeometryError(f"intrinsics config missing keys: {missing}")
-        unknown = [k for k in mapping if k not in required]
-        if unknown:
-            raise GeometryError(f"unknown intrinsics keys: {unknown}")
-        return cls(
-            fx=float(mapping["fx"]),
-            fy=float(mapping["fy"]),
-            cx=float(mapping["cx"]),
-            cy=float(mapping["cy"]),
-            width=int(mapping["width"]),
-            height=int(mapping["height"]),
-        )
+        return dataclass_from_mapping(cls, mapping, GeometryError, "intrinsics")
 
 
 def _exp_arrays(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

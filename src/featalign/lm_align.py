@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .configfile import dataclass_from_mapping
 from .feature_maps import (
     SAMPLE_MARGIN,
     FeatureMap,
@@ -136,28 +137,9 @@ class LMConfig:
         if list(self.levels) != sorted(self.levels):
             raise AlignmentError("levels must be ascending (coarse to fine)")
 
-    @staticmethod
-    def from_mapping(data: dict) -> "LMConfig":
-        kwargs = {}
-        casts = {
-            "lambda_init": float,
-            "lambda_max": float,
-            "damping": str,
-            "huber_gamma": float,
-            "max_iters_per_level": int,
-            "step_norm_eps": float,
-            "min_valid_points": int,
-            "cond_max": float,
-            "margin": float,
-        }
-        for key, value in data.items():
-            if key == "levels":
-                kwargs["levels"] = tuple(int(x) for x in str(value).replace(",", " ").split())
-            elif key in casts:
-                kwargs[key] = casts[key](value)
-            else:
-                raise AlignmentError(f"unknown solver config key {key!r}")
-        return LMConfig(**kwargs)
+    @classmethod
+    def from_mapping(cls, mapping) -> "LMConfig":
+        return dataclass_from_mapping(cls, mapping, AlignmentError, "solver")
 
 
 def _huber(norms: np.ndarray, gamma: float) -> np.ndarray:
@@ -411,7 +393,11 @@ class LevelStats:
 
 @dataclass
 class AlignmentResult:
-    """Final pose plus per-level solver statistics."""
+    """Final pose plus per-level solver statistics.
+
+    ``converged``: the finest level ran and ended on a step below
+    ``step_norm_eps``. ``failure_reason`` is set only for skipped levels.
+    """
 
     pose: SE3Pose
     levels: list[LevelStats]
@@ -576,20 +562,15 @@ def align_coarse_to_fine(
         )
         all_stats.append(stats)
 
-    attempted = [s for s in all_stats if s.skipped_reason is None]
-    if not attempted:
-        return AlignmentResult(
-            pose=pose,
-            levels=all_stats,
-            converged=False,
-            failure_reason="insufficient overlap at every level",
-        )
     last = all_stats[-1]
-    if last.skipped_reason is not None:
-        return AlignmentResult(
-            pose=pose,
-            levels=all_stats,
-            converged=False,
-            failure_reason=f"finest level skipped: {last.skipped_reason}",
-        )
-    return AlignmentResult(pose=pose, levels=all_stats, converged=True)
+    failure = None
+    if all(s.skipped_reason is not None for s in all_stats):
+        failure = "insufficient overlap at every level"
+    elif last.skipped_reason is not None:
+        failure = f"finest level skipped: {last.skipped_reason}"
+    return AlignmentResult(
+        pose=pose,
+        levels=all_stats,
+        converged=last.termination == "step_norm",
+        failure_reason=failure,
+    )

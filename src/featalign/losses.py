@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .configfile import dataclass_from_mapping
 from .feature_maps import (
     FeatureMap,
     SAMPLE_MARGIN,
@@ -72,14 +73,7 @@ class LossConfig:
     @classmethod
     def from_mapping(cls, mapping, base: "LossConfig | None" = None) -> "LossConfig":
         """Override fields of ``base`` (default: class defaults) from strings."""
-        kwargs = {
-            f: getattr(base, f) for f in cls.__dataclass_fields__
-        } if base is not None else {}
-        for key, raw in mapping.items():
-            if key not in cls.__dataclass_fields__:
-                raise LossError(f"unknown loss config key: {key!r}")
-            kwargs[key] = float(raw)
-        return cls(**kwargs)
+        return dataclass_from_mapping(cls, mapping, LossError, "loss", base)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .configfile import dataclass_from_mapping
 from .feature_maps import FeatureMap, FeaturePyramid
 from .geometry import CameraIntrinsics, SE3Pose
 from .lm_align import SparsePointSet, _huber, _level_inputs, _residuals_batched, compute_residuals
@@ -125,24 +126,9 @@ class InitConfig:
         if self.huber_gamma <= 0:
             raise InitError("huber_gamma must be positive")
 
-    @staticmethod
-    def from_mapping(data: dict) -> "InitConfig":
-        casts = {
-            "yaw_range_deg": float,
-            "yaw_step_deg": float,
-            "pitch_range_deg": float,
-            "pitch_step_deg": float,
-            "t_range": float,
-            "t_steps": int,
-            "huber_gamma": float,
-            "min_valid_points": int,
-        }
-        kwargs = {}
-        for key, value in data.items():
-            if key not in casts:
-                raise InitError(f"unknown init config key {key!r}")
-            kwargs[key] = casts[key](value)
-        return InitConfig(**kwargs)
+    @classmethod
+    def from_mapping(cls, mapping) -> "InitConfig":
+        return dataclass_from_mapping(cls, mapping, InitError, "init")
 
 
 def candidate_energy(

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .configfile import dataclass_from_mapping
 from .feature_maps import (
     FeatureMap,
     FeaturePyramid,
@@ -61,6 +62,12 @@ _TWIST_BOXES = {
 }
 
 _ZBUF_REL_EPS = 1e-3
+# A pose must leave at least this fraction of reference pixels valid.
+_MIN_VALID_FRACTION = 0.5
+# Grid stride, in pixels, of the mean-flow estimate.
+_FLOW_STRIDE = 4
+# Draws before the pose sampler gives up on a flow class.
+_POSE_TRIES = 2000
 _POINT_LATTICE_STRIDE = 8
 # In-frame test slack: identity warps land on integers only up to roundoff,
 # and edge pixels must not flicker invalid over a quarter-ulp excursion.
@@ -127,19 +134,7 @@ class SceneConfig:
 
     @classmethod
     def from_mapping(cls, mapping) -> "SceneConfig":
-        kwargs = {}
-        casts = {
-            "height": int,
-            "width": int,
-            "octaves": int,
-            "depth_discontinuity": lambda s: s.lower() in ("1", "true", "yes"),
-        }
-        fields = cls.__dataclass_fields__
-        for key, raw in mapping.items():
-            if key not in fields:
-                raise SynthError(f"unknown scene config key: {key!r}")
-            kwargs[key] = casts.get(key, float)(raw)
-        return cls(**kwargs)
+        return dataclass_from_mapping(cls, mapping, SynthError, "scene")
 
 
 @dataclass(frozen=True)
@@ -282,14 +277,13 @@ def _bilinear_raw(image, uv):
     return c00 * w00 + c10 * w10 + c01 * w01 + c11 * w11
 
 
-def warp_scene(scene: SyntheticScene, pose: SE3Pose, min_valid_fraction: float = 0.5) -> WarpedView:
+def warp_scene(scene: SyntheticScene, pose: SE3Pose) -> WarpedView:
     """Forward-warp every reference pixel and synthesize the reference view.
 
     Occlusions are resolved with a z-buffer over rounded target cells: a
     pixel whose transformed depth exceeds the front-most depth landing in
     the same cell (beyond a relative epsilon) is marked invalid. Raises
-    LowOverlapError when fewer than ``min_valid_fraction`` of the pixels
-    survive, signalling the caller to draw a different pose.
+    LowOverlapError when fewer than half of the pixels survive, signalling the caller to draw a different pose.
     """
     h, w = scene.texture.shape
     vv, uu = np.mgrid[0:h, 0:w]
@@ -313,9 +307,9 @@ def warp_scene(scene: SyntheticScene, pose: SE3Pose, min_valid_fraction: float =
     valid = valid & ~occluded
 
     fraction = float(valid.mean())
-    if fraction < min_valid_fraction:
+    if fraction < _MIN_VALID_FRACTION:
         raise LowOverlapError(
-            f"only {fraction:.2f} of pixels valid, need {min_valid_fraction:.2f}"
+            f"only {fraction:.2f} of pixels valid, need {_MIN_VALID_FRACTION:.2f}"
         )
 
     image = np.zeros(h * w)
@@ -327,21 +321,19 @@ def warp_scene(scene: SyntheticScene, pose: SE3Pose, min_valid_fraction: float =
     )
 
 
-def mean_flow(scene: SyntheticScene, pose: SE3Pose, stride: int = 4) -> float:
+def mean_flow(scene: SyntheticScene, pose: SE3Pose) -> float:
     """Mean pixel displacement induced by a pose over a subsampled grid."""
     h, w = scene.texture.shape
-    vv, uu = np.mgrid[0:h:stride, 0:w:stride]
+    vv, uu = np.mgrid[0:h:_FLOW_STRIDE, 0:w:_FLOW_STRIDE]
     uv = np.stack([uu.ravel(), vv.ravel()], axis=1).astype(np.float64)
-    depths = scene.depth[::stride, ::stride].ravel()
+    depths = scene.depth[::_FLOW_STRIDE, ::_FLOW_STRIDE].ravel()
     warped, valid, _ = warp_points(uv, depths, pose, scene.intrinsics)
     if not valid.any():
         return float("inf")
     return float(np.linalg.norm(warped[valid] - uv[valid], axis=1).mean())
 
 
-def sample_pose_perturbation(
-    rng, magnitude_class: str, scene: SyntheticScene, max_tries: int = 2000
-) -> SE3Pose:
+def sample_pose_perturbation(rng, magnitude_class: str, scene: SyntheticScene) -> SE3Pose:
     """Draw a pose whose mean induced flow lands in the class bracket.
 
     Twists are uniform in a per-class box; draws outside the flow bracket
@@ -355,7 +347,7 @@ def sample_pose_perturbation(
     t_xy, t_z, rot = _TWIST_BOXES[magnitude_class]
     box = np.array([t_xy, t_xy, t_z, rot, rot, rot])
 
-    for _ in range(max_tries):
+    for _ in range(_POSE_TRIES):
         twist = rng.uniform(-1.0, 1.0, size=6) * box
         pose = se3_exp(twist)
         flow = mean_flow(scene, pose)
@@ -368,7 +360,7 @@ def sample_pose_perturbation(
             continue
         return pose
     raise PoseSampleError(
-        f"no {magnitude_class}-class pose found in {max_tries} draws"
+        f"no {magnitude_class}-class pose found in {_POSE_TRIES} draws"
     )
 
 
@@ -530,7 +522,7 @@ def build_pair(
 class DatasetConfig:
     out_dir: str
     n_pairs: int = 8
-    classes: tuple = ("small", "medium", "large")
+    classes: tuple[str, ...] = ("small", "medium", "large")
     base_seed: int = 0
     n_points: int = 64
     scene: SceneConfig = SceneConfig()
@@ -540,36 +532,36 @@ class DatasetConfig:
 def dataset_config_from_mapping(mapping, out_dir: str) -> DatasetConfig:
     """Build a DatasetConfig from config-file strings.
 
-    Dataset-level keys are claimed first; ``photometric_*`` keys populate
-    the appearance perturbation; everything else must be a SceneConfig
-    field (SceneConfig.from_mapping rejects strays).
+    Dataset-level keys are claimed first (``out_dir`` comes from the command
+    line); ``photometric_*`` keys populate the appearance perturbation;
+    everything else must be a SceneConfig field (SceneConfig.from_mapping
+    rejects strays).
     """
-    own = {"n_pairs": int, "base_seed": int, "n_points": int}
-    photo_fields = {"photometric_" + f: f for f in ("a", "b", "sigma", "gamma")}
-    kwargs = {}
-    photo = {}
-    scene = {}
+    own, photo, scene = {}, {}, {}
     for key, raw in mapping.items():
-        if key == "classes":
-            parts = tuple(str(raw).replace(",", " ").split())
-            unknown = [c for c in parts if c not in FLOW_CLASSES]
-            if not parts or unknown:
-                raise DatasetError(
-                    f"classes must name flow classes from {sorted(FLOW_CLASSES)}, got {raw!r}"
-                )
-            kwargs["classes"] = parts
-        elif key in own:
-            kwargs[key] = own[key](raw)
-        elif key in photo_fields:
-            photo[photo_fields[key]] = float(raw)
+        if key in DatasetConfig.__dataclass_fields__ and key != "out_dir":
+            own[key] = raw
+        elif key.startswith("photometric_"):
+            photo[key.removeprefix("photometric_")] = raw
         else:
             scene[key] = raw
-    return DatasetConfig(
+    base = DatasetConfig(
         out_dir=out_dir,
-        scene=SceneConfig.from_mapping(scene) if scene else SceneConfig(),
-        photometric=PhotometricParams(**photo) if photo else None,
-        **kwargs,
+        scene=SceneConfig.from_mapping(scene),
+        photometric=(
+            dataclass_from_mapping(PhotometricParams, photo, SynthError, "photometric")
+            if photo
+            else None
+        ),
     )
+    config = dataclass_from_mapping(DatasetConfig, own, DatasetError, "dataset", base)
+    unknown = [c for c in config.classes if c not in FLOW_CLASSES]
+    if not config.classes or unknown:
+        raise DatasetError(
+            f"classes must name flow classes from {sorted(FLOW_CLASSES)}, "
+            f"got {mapping['classes']!r}"
+        )
+    return config
 
 
 # Draws per pair before a scene without enough usable sparse points
@@ -612,17 +604,6 @@ def generate_pair(config: DatasetConfig, index: int) -> BenchmarkPair:
     )
 
 
-def _intrinsics_record(k: CameraIntrinsics) -> dict:
-    return {
-        "fx": k.fx,
-        "fy": k.fy,
-        "cx": k.cx,
-        "cy": k.cy,
-        "width": k.width,
-        "height": k.height,
-    }
-
-
 def build_dataset(config: DatasetConfig) -> dict:
     """Generate pairs, write them under ``out_dir``, and return the manifest.
 
@@ -641,7 +622,7 @@ def build_dataset(config: DatasetConfig) -> dict:
         save_points_text(os.path.join(pair_dir, "points.txt"), pair.points)
         save_pose_text(os.path.join(pair_dir, "pose.txt"), pair.gt_pose)
         with open(os.path.join(pair_dir, "intrinsics.txt"), "w") as handle:
-            for key, value in _intrinsics_record(pair.intrinsics).items():
+            for key, value in asdict(pair.intrinsics).items():
                 handle.write(f"{key} = {value!r}\n")
         entries.append(
             {
@@ -652,7 +633,7 @@ def build_dataset(config: DatasetConfig) -> dict:
                 "tgt_features": f"{name}/tgt.fmap",
                 "points": f"{name}/points.txt",
                 "pose": f"{name}/pose.txt",
-                "intrinsics": _intrinsics_record(pair.intrinsics),
+                "intrinsics": asdict(pair.intrinsics),
             }
         )
     manifest = {

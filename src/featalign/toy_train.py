@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .configfile import dataclass_from_mapping
 from .feature_maps import (
     SAMPLE_MARGIN,
     FeatureMap,
@@ -94,28 +95,12 @@ class ToyTrainConfig:
         all-ones ``LossConfig`` defaults, so overriding one weight does not
         silently reset the others.
         """
-        casts = {
-            "epochs": int,
-            "lr": float,
-            "batch_size": int,
-            "eval_interval": int,
-            "seed": int,
-            "divergence_factor": float,
-            "eval_max_iters": int,
-            "success_flow_px": float,
-        }
-        kwargs = {}
-        loss_overrides = {}
-        for key, raw in mapping.items():
-            if key in casts:
-                kwargs[key] = casts[key](raw)
-            elif key in LossConfig.__dataclass_fields__:
-                loss_overrides[key] = raw
-            else:
-                raise LossError(f"unknown toy training config key: {key!r}")
-        if loss_overrides:
-            kwargs["loss"] = LossConfig.from_mapping(loss_overrides, base=cls().loss)
-        return cls(**kwargs)
+        loss_keys = LossConfig.__dataclass_fields__
+        loss = LossConfig.from_mapping(
+            {k: v for k, v in mapping.items() if k in loss_keys}, base=cls().loss
+        )
+        own = {k: v for k, v in mapping.items() if k not in loss_keys}
+        return dataclass_from_mapping(cls, own, LossError, "toy training", cls(loss=loss))
 
 
 @dataclass

@@ -10,7 +10,9 @@ import os
 import pytest
 
 from featalign.cli import EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, main
-from featalign.lm_align import SparsePointSet, load_points_text, save_points_text
+from featalign.evaluation import run_trial
+from featalign.lm_align import LMConfig, SparsePointSet, load_points_text, save_points_text
+from featalign.synth import load_pair_entry
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +48,14 @@ class TestSynth:
         code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert code == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
+
+    def test_unrecognised_boolean_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n_pairs = 1\ndepth_discontinuity = on\n")
+        out = tmp_path / "x"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAlign:
@@ -109,6 +119,26 @@ class TestAlign:
         cfg.write_text("momentum = 0.9\n")
         assert main(["align", *args, "--config", str(cfg)]) == EXIT_ERROR
         assert "unknown solver config key" in capsys.readouterr().err
+
+    def test_non_finite_solver_value_exits_1(self, dataset, tmp_path, capsys):
+        args, _ = pair_args(dataset)
+        cfg = tmp_path / "lm.cfg"
+        cfg.write_text("lambda_init = nan\n")
+        assert main(["align", *args, "--config", str(cfg)]) == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+
+    def test_converged_means_a_step_norm_exit(self, dataset, tmp_path, capsys):
+        args, _ = pair_args(dataset)
+        cfg = tmp_path / "lm.cfg"
+        cfg.write_text("max_iters_per_level = 1\n")
+        assert main(["align", *args, "--config", str(cfg)]) == EXIT_OK
+        assert "converged: False" in capsys.readouterr().out
+        with open(os.path.join(dataset, "manifest.json")) as handle:
+            entry = json.load(handle)["pairs"][0]
+        ref, tgt, points, gt_pose, k = load_pair_entry(entry, dataset)
+        record = run_trial(ref, tgt, points, gt_pose, k, LMConfig(max_iters_per_level=1))
+        assert not record.converged
+        assert record.failure == ""
 
     def test_damping_override(self, dataset, tmp_path):
         args, _ = pair_args(dataset)
@@ -220,6 +250,15 @@ class TestBenchmark:
         )
         assert code == EXIT_PARTIAL
         assert "failures: 1" in capsys.readouterr().out
+
+    def test_non_finite_init_value_exits_1(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "init.cfg"
+        cfg.write_text("yaw_range_deg = inf\n")
+        manifest = os.path.join(dataset, "manifest.json")
+        code = main(["benchmark", "--manifest", manifest, "--init", "corr",
+                     "--init-config", str(cfg)])
+        assert code == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
 
     def test_missing_manifest_exits_1(self, capsys):
         assert main(["benchmark", "--manifest", "nowhere.json"]) == EXIT_ERROR
