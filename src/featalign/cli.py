@@ -42,14 +42,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_PARTIAL = 2
 
-_TOY_SET_KEYS = {
-    "n_pairs": int,
-    "eval_offsets": int,
-    "eval_flow_px": float,
-    "ref_noise": float,
-}
-
-
 def _mapping(path: str | None) -> dict:
     return load_config(path) if path else {}
 
@@ -90,7 +82,7 @@ def cmd_align(args) -> int:
     if args.init_pose:
         init_pose = load_pose_text(args.init_pose)
     elif args.init == "corr":
-        init_pose = corr_pose_init(ref, tgt, points, intrinsics)
+        init_pose = corr_pose_init(ref, tgt, points, intrinsics, lm_config=lm_config)
     else:
         init_pose = SE3Pose.identity()
 
@@ -173,12 +165,7 @@ def cmd_eval_loss(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
-    mapping = _mapping(args.config)
-    set_kwargs = {}
-    for key, cast in _TOY_SET_KEYS.items():
-        if key in mapping:
-            set_kwargs[key] = cast(mapping.pop(key))
-    config = ToyTrainConfig.from_mapping(mapping)
+    config = ToyTrainConfig.from_mapping(_mapping(args.config))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     if args.epochs is not None:
@@ -193,7 +180,9 @@ def cmd_train_toy(args) -> int:
         loss = dataclasses.replace(loss, w_negative=0.0)
     config = dataclasses.replace(config, loss=loss)
 
-    training_set = make_toy_training_set(config.seed, **set_kwargs)
+    training_set = make_toy_training_set(
+        config.seed, config.n_pairs, config.eval_offsets, config.eval_flow_px, config.ref_noise
+    )
     result = train_toy_features(training_set, config)
 
     print(f"epochs: {config.epochs}{' (aborted)' if result.aborted else ''}")

@@ -151,7 +151,7 @@ def run_trial(
     try:
         if init_mode == "corr":
             init_pose = corr_pose_init(
-                ref_pyramid, tgt_pyramid, points, intrinsics, init_config
+                ref_pyramid, tgt_pyramid, points, intrinsics, init_config, lm_config
             )
             est_pose = init_pose
         result = align_coarse_to_fine(

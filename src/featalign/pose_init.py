@@ -5,8 +5,11 @@ coarsest pyramid level. This module estimates one without any learned
 machinery: an all-pairs feature correlation at the coarsest level gives a
 dominant 2-D flow, the flow lifts to a translation guess, and a small grid
 search over yaw/pitch and axis translations picks the candidate with the
-lowest coarse-level alignment energy. The identity pose always competes,
-so the seed can never be worse than not seeding at all.
+lowest coarse-level alignment energy. The identity pose is the grid's
+first row and wins ties, so the seed can never be worse than not seeding
+at all. One scorer, ``_grid_energies``, scores every candidate with the
+Huber gamma, minimum valid-point count and warp margin of the solver's
+``LMConfig``, so the seed minimizes the energy the solver then minimizes.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from .configfile import dataclass_from_mapping
 from .feature_maps import FeatureMap, FeaturePyramid
 from .geometry import CameraIntrinsics, SE3Pose
-from .lm_align import SparsePointSet, _huber, _level_inputs, _residuals_batched, compute_residuals
+from .lm_align import LMConfig, SparsePointSet, _huber, _level_inputs, _residuals_batched
 
 CORRELATION_BUDGET = 4096  # max pixels per map in the all-pairs product
 
@@ -32,34 +35,20 @@ class InitError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorrelationMap:
-    """All-pairs feature similarity, indexed (v, u, v2, u2).
-
-    With unit feature vectors every raw entry is a cosine similarity in
-    [-1, 1]. When ``slab_normalized`` each (v, u) slab has unit L2 norm
-    (or is identically zero where the source vector was zero).
-    """
-
-    values: np.ndarray
-    slab_normalized: bool
-
-
 def _normalize_rows(flat: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(flat, axis=1)
     safe = np.where(norms > 0.0, norms, 1.0)
     return flat / safe[:, None]
 
 
-def correlation_map(
-    ref: FeatureMap, tgt: FeatureMap, normalize_slabs: bool = True
-) -> CorrelationMap:
-    """Cosine similarity of every reference pixel against every target pixel.
+def correlation_map(ref: FeatureMap, tgt: FeatureMap) -> np.ndarray:
+    """Slab-normalized similarity of every reference pixel to every target
+    pixel, indexed (v, u, v2, u2).
 
-    Feature vectors are L2-normalized per pixel first; zero vectors (flat
-    image regions) normalize to zero instead of NaN so they cannot poison
-    the volume. The optional second stage rescales each source pixel's
-    similarity slab to unit norm.
+    Feature vectors are L2-normalized per pixel, so the raw product is a
+    cosine similarity; each reference pixel's (v2, u2) slab is then scaled
+    to unit L2 norm. Zero vectors (flat image regions) normalize to zero
+    instead of NaN, so their slabs are zero and cannot poison the volume.
     """
     if ref.channels != tgt.channels:
         raise InitError(
@@ -73,23 +62,17 @@ def correlation_map(
             )
     a = _normalize_rows(ref.values.reshape(-1, ref.channels).astype(np.float64))
     b = _normalize_rows(tgt.values.reshape(-1, tgt.channels).astype(np.float64))
-    volume = (a @ b.T).reshape(ref.height, ref.width, tgt.height, tgt.width)
-    if normalize_slabs:
-        flat = volume.reshape(ref.height, ref.width, -1)
-        norms = np.linalg.norm(flat, axis=2)
-        flat = flat / np.where(norms > 0.0, norms, 1.0)[:, :, None]
-        volume = flat.reshape(volume.shape)
-    return CorrelationMap(values=volume, slab_normalized=normalize_slabs)
+    return _normalize_rows(a @ b.T).reshape(ref.height, ref.width, tgt.height, tgt.width)
 
 
-def median_correlation_flow(cmap: CorrelationMap) -> tuple[float, float]:
+def median_correlation_flow(volume: np.ndarray) -> tuple[float, float]:
     """Median (du, dv) of the per-pixel correlation argmax displacements.
 
     Pixels whose whole slab is (numerically) zero carry no signal and are
     skipped; with no signal anywhere the flow is (0, 0).
     """
-    h, w, h2, w2 = cmap.values.shape
-    flat = cmap.values.reshape(h, w, -1)
+    h, w, h2, w2 = volume.shape
+    flat = volume.reshape(h, w, -1)
     best = flat.argmax(axis=2)
     peak = flat.max(axis=2)
     v2, u2 = np.divmod(best, w2)
@@ -115,16 +98,15 @@ class InitConfig:
     pitch_step_deg: float = 1.5
     t_range: float = 0.5
     t_steps: int = 5
-    huber_gamma: float = 0.3
-    min_valid_points: int = 8
 
     def __post_init__(self):
         if self.t_steps < 1 or self.t_steps % 2 == 0:
             raise InitError("t_steps must be odd so the seed itself is a candidate")
         if self.yaw_step_deg <= 0 or self.pitch_step_deg <= 0:
             raise InitError("angle steps must be positive")
-        if self.huber_gamma <= 0:
-            raise InitError("huber_gamma must be positive")
+        for key in ("yaw_range_deg", "pitch_range_deg", "t_range"):
+            if getattr(self, key) < 0:
+                raise InitError(f"{key} must be non-negative")
 
     @classmethod
     def from_mapping(cls, mapping) -> "InitConfig":
@@ -137,23 +119,15 @@ def candidate_energy(
     points: SparsePointSet,
     intrinsics: CameraIntrinsics,
     pose: SE3Pose,
-    huber_gamma: float = 0.3,
-    min_valid_points: int = 8,
+    lm_config: LMConfig | None = None,
 ) -> float:
-    """Mean per-valid-point Huber energy of a pose at the coarsest level.
-
-    Infinite when fewer than ``min_valid_points`` survive the warp, so a
-    candidate cannot win by throwing points away. This is the quantity the
-    grid search minimizes; it is public so tests (and callers comparing
-    against identity) score candidates through the exact same expression.
-    """
-    k1 = intrinsics.at_level(1)
-    ev = compute_residuals(
-        ref_l1, tgt_l1, points.at_level(1), points.depths, pose, k1, huber_gamma
-    )
-    if ev.n_valid < min_valid_points:
-        return float("inf")
-    return ev.energy / ev.n_valid
+    """The seed's coarse-level energy of one pose: ``_grid_energies``'s
+    one-row call, so it equals that pose's row in the grid bit for bit."""
+    return float(_grid_energies(
+        ref_l1, tgt_l1, points.at_level(1), points.depths,
+        pose.rotation[None], pose.translation[None], intrinsics.at_level(1),
+        lm_config or LMConfig(),
+    )[0])
 
 
 def _grid_energies(
@@ -164,23 +138,26 @@ def _grid_energies(
     rotations: np.ndarray,
     translations: np.ndarray,
     k1: CameraIntrinsics,
-    huber_gamma: float,
-    min_valid_points: int,
+    lm_config: LMConfig,
 ) -> np.ndarray:
-    """candidate_energy over (m, 3, 3) + (m, 3) candidates, one per row.
+    """Mean per-valid-point Huber energy of (m, 3, 3) + (m, 3) poses, one
+    per row, at the coarsest level.
 
-    Scores every candidate with the residual kernel behind
-    compute_residuals, then takes the Huber mean over each row's valid
-    points. Rows are summed with their invalid (zero) entries in place, so
-    an energy can differ from candidate_energy's in the last bits.
+    Every row goes through the solver's residual kernel with the solver's
+    Huber gamma and warp margin. A row is infinite when fewer than
+    ``lm_config.min_valid_points`` survive the warp, so a candidate cannot
+    win by throwing points away. Rows are summed with their invalid (zero)
+    entries in place, so an energy can differ from the serial
+    ``compute_residuals(...).energy / n_valid`` in the last bits.
     """
     _, norms, valid, _, _, _ = _residuals_batched(
-        _level_inputs(ref_l1, uv1, depths, k1), tgt_l1, rotations, translations, k1
+        _level_inputs(ref_l1, uv1, depths, k1), tgt_l1, rotations, translations, k1,
+        lm_config.margin,
     )
     n_valid = valid.sum(axis=1)
     energies = np.full(valid.shape[0], np.inf)
-    enough = n_valid >= min_valid_points
-    energies[enough] = _huber(norms, huber_gamma).sum(axis=1)[enough] / n_valid[enough]
+    enough = n_valid >= lm_config.min_valid_points
+    energies[enough] = _huber(norms, lm_config.huber_gamma).sum(axis=1)[enough] / n_valid[enough]
     return energies
 
 
@@ -190,31 +167,35 @@ def corr_pose_init(
     points: SparsePointSet,
     intrinsics: CameraIntrinsics,
     config: InitConfig | None = None,
+    lm_config: LMConfig | None = None,
 ) -> SE3Pose:
     """Coarse pose seed from correlation flow plus a small grid search.
 
     The median coarse-level correlation flow lifts to a translation guess
     (sideways displacement at the median point depth); yaw/pitch angles
     and per-axis translation offsets around that guess form the candidate
-    grid. Candidates are scored with candidate_energy and the best one is
-    returned only if it strictly beats the identity pose; degenerate
-    inputs (too-large maps, too few points) fall back to identity rather
-    than raising.
+    grid. The identity pose and the grid are scored in one
+    ``_grid_energies`` call with ``lm_config``'s energy settings (the
+    solver defaults when None), and the lowest energy wins. Identity is
+    row 0 and ``argmin`` takes the first of equal minima, so a grid pose
+    is returned only when it strictly beats identity, and identity when
+    no candidate keeps ``min_valid_points``. Degenerate inputs (too-large
+    maps, too few points) fall back to identity rather than raising.
     """
     config = config or InitConfig()
-    identity = SE3Pose.identity()
+    lm_config = lm_config or LMConfig()
     ref_l1 = ref_pyramid.level(1)
     tgt_l1 = tgt_pyramid.level(1)
     if (
         ref_l1.height * ref_l1.width > CORRELATION_BUDGET
         or tgt_l1.height * tgt_l1.width > CORRELATION_BUDGET
-        or len(points) < config.min_valid_points
+        or len(points) < lm_config.min_valid_points
     ):
-        return identity
+        return SE3Pose.identity()
     k1 = intrinsics.at_level(1)
 
-    cmap = correlation_map(ref_l1, tgt_l1)
-    du, dv = median_correlation_flow(cmap)
+    volume = correlation_map(ref_l1, tgt_l1)
+    du, dv = median_correlation_flow(volume)
     z_med = float(np.median(points.depths))
     t_seed = np.array([z_med * du / k1.fx, z_med * dv / k1.fy, 0.0])
 
@@ -244,31 +225,11 @@ def corr_pose_init(
     ox, oy, oz = np.meshgrid(offsets, offsets, offsets, indexing="ij")
     t_off = np.stack([ox.ravel(), oy.ravel(), oz.ravel()], axis=1)
 
-    m = n_ang * t_off.shape[0]
-    rotations = np.repeat(rot_ang, t_off.shape[0], axis=0)
-    translations = t_seed[None, :] + np.tile(t_off, (n_ang, 1))
-    assert rotations.shape[0] == m
-
+    rotations = np.concatenate([np.eye(3)[None], np.repeat(rot_ang, t_off.shape[0], axis=0)])
+    translations = np.concatenate([np.zeros((1, 3)), t_seed + np.tile(t_off, (n_ang, 1))])
     energies = _grid_energies(
         ref_l1, tgt_l1, points.at_level(1), points.depths,
-        rotations, translations, k1,
-        config.huber_gamma, config.min_valid_points,
+        rotations, translations, k1, lm_config,
     )
     best = int(np.argmin(energies))
-    if not np.isfinite(energies[best]):
-        return identity
-    candidate = SE3Pose(rotation=rotations[best], translation=translations[best])
-
-    # the final comparison runs through the public scorer so the fallback
-    # contract holds exactly, not merely up to vectorization rounding
-    e_candidate = candidate_energy(
-        ref_l1, tgt_l1, points, intrinsics, candidate,
-        config.huber_gamma, config.min_valid_points,
-    )
-    e_identity = candidate_energy(
-        ref_l1, tgt_l1, points, intrinsics, identity,
-        config.huber_gamma, config.min_valid_points,
-    )
-    if e_candidate < e_identity:
-        return candidate
-    return identity
+    return SE3Pose(rotation=rotations[best], translation=translations[best])

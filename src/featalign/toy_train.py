@@ -46,6 +46,10 @@ from .synth import (
 )
 
 
+# Draws allowed per evaluation offset; the default sets need about 10.
+_OFFSET_TRIES = 1000
+
+
 @dataclass(frozen=True)
 class ToyPair:
     """One warped view: where to sample the live map, plus its fixed noise."""
@@ -86,6 +90,11 @@ class ToyTrainConfig:
     divergence_factor: float = 10.0
     eval_max_iters: int = 60
     success_flow_px: float = 1.0
+    # make_toy_training_set's arguments, at its defaults
+    n_pairs: int = 8
+    eval_offsets: int = 10
+    eval_flow_px: float = 5.0
+    ref_noise: float = 0.2
 
     @classmethod
     def from_mapping(cls, mapping) -> "ToyTrainConfig":
@@ -140,7 +149,8 @@ def make_toy_training_set(
 
     Evaluation offsets are twists with close to ``eval_flow_px`` mean flow,
     drawn once so every epoch (and every loss ablation) measures success
-    from identical perturbed starts.
+    from identical perturbed starts. A target the draws cannot reach (say
+    500 px) raises SynthError after ``_OFFSET_TRIES`` draws for one offset.
 
     ``ref_noise`` is the per-view Gaussian appearance noise. Without it the
     ground truth is the exact energy minimum for any parameters and no
@@ -201,10 +211,14 @@ def make_toy_training_set(
 
     offsets = []
     while len(offsets) < eval_offsets:
-        twist = rng.uniform(-1.0, 1.0, size=6) * np.array([0.3, 0.3, 0.35, 0.045, 0.045, 0.045])
-        flow = mean_flow(scene, se3_exp(twist))
-        if abs(flow - eval_flow_px) <= 0.5:
-            offsets.append(twist)
+        for _ in range(_OFFSET_TRIES):
+            twist = rng.uniform(-1.0, 1.0, size=6) * np.array([0.3, 0.3, 0.35, 0.045, 0.045, 0.045])
+            flow = mean_flow(scene, se3_exp(twist))
+            if abs(flow - eval_flow_px) <= 0.5:
+                break
+        else:
+            raise SynthError(f"no {eval_flow_px} px evaluation offset in {_OFFSET_TRIES} draws")
+        offsets.append(twist)
 
     return ToyTrainingSet(
         pairs=tuple(pairs),

@@ -216,6 +216,14 @@ class TestTrainToy:
         assert main(["train-toy", "--config", str(cfg)]) == EXIT_ERROR
         assert "unknown toy training config key" in capsys.readouterr().err
 
+    def test_non_finite_training_set_key_exits_1(self, tmp_path, capsys):
+        # used to be cast with a plain float, and the offset draw never ended
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text("eval_flow_px = nan\n")
+        assert main(["train-toy", "--config", str(cfg), "--epochs", "1"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "error:" in err and "'eval_flow_px'" in err
+
 
 class TestBenchmark:
     def test_report_files_and_determinism(self, dataset, tmp_path):
@@ -259,6 +267,16 @@ class TestBenchmark:
                      "--init-config", str(cfg)])
         assert code == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["yaw_range_deg", "pitch_range_deg", "t_range"])
+    def test_negative_search_range_exits_1(self, dataset, tmp_path, capsys, key):
+        cfg = tmp_path / "init.cfg"
+        cfg.write_text(f"{key} = -6\n")
+        manifest = os.path.join(dataset, "manifest.json")
+        code = main(["benchmark", "--manifest", manifest, "--init", "corr",
+                     "--init-config", str(cfg)])
+        assert code == EXIT_ERROR
+        assert f"error: {key} must be non-negative" in capsys.readouterr().err
 
     def test_missing_manifest_exits_1(self, capsys):
         assert main(["benchmark", "--manifest", "nowhere.json"]) == EXIT_ERROR

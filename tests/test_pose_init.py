@@ -7,10 +7,10 @@ import pytest
 
 from featalign.feature_maps import FeatureMap
 from featalign.geometry import SE3Pose, se3_exp
-from featalign.lm_align import SparsePointSet, compute_residuals
+from featalign import pose_init
+from featalign.lm_align import LMConfig, SparsePointSet, compute_residuals
 from featalign.pose_init import (
     CORRELATION_BUDGET,
-    CorrelationMap,
     InitConfig,
     InitError,
     _grid_energies,
@@ -37,12 +37,26 @@ def large_pair():
     return build_pair(scene, pose, rng, magnitude_class="large", seed=31)
 
 
+def serial_energy(pair, pose, huber_gamma=0.3, min_valid_points=8):
+    """The seed energy written out with the one-pose solver residuals."""
+    ev = compute_residuals(
+        pair.ref_pyramid.level(1), pair.tgt_pyramid.level(1),
+        pair.points.at_level(1), pair.points.depths, pose,
+        pair.intrinsics.at_level(1), huber_gamma,
+    )
+    return ev.energy / ev.n_valid if ev.n_valid >= min_valid_points else math.inf
+
+
+def level1_args(pair):
+    return (pair.ref_pyramid.level(1), pair.tgt_pyramid.level(1), pair.points, pair.intrinsics)
+
+
 class TestCorrelationMap:
     def test_self_similarity_argmax_on_diagonal(self):
         f = unit_vector_map(6, 7, 4, seed=0)
-        cmap = correlation_map(f, f)
+        volume = correlation_map(f, f)
         h, w = 6, 7
-        flat = cmap.values.reshape(h, w, -1)
+        flat = volume.reshape(h, w, -1)
         best = flat.argmax(axis=2)
         vv, uu = np.mgrid[0:h, 0:w]
         np.testing.assert_array_equal(best, vv * w + uu)
@@ -52,18 +66,16 @@ class TestCorrelationMap:
         a[:, :, 0] = 1.0
         b = np.zeros((5, 5, 2))
         b[:, :, 1] = 1.0
-        cmap = correlation_map(FeatureMap(a), FeatureMap(b), normalize_slabs=False)
-        np.testing.assert_array_equal(cmap.values, 0.0)
+        volume = correlation_map(FeatureMap(a), FeatureMap(b))
+        np.testing.assert_array_equal(volume, 0.0)
 
     def test_cosine_range_and_slab_norms(self):
         f = FeatureMap(np.random.default_rng(3).normal(size=(8, 9, 3)))
         g = FeatureMap(np.random.default_rng(4).normal(size=(7, 6, 3)))
-        raw = correlation_map(f, g, normalize_slabs=False)
-        assert raw.values.min() >= -1.0 - 1e-12
-        assert raw.values.max() <= 1.0 + 1e-12
-        assert not raw.slab_normalized
-        normed = correlation_map(f, g)
-        slab_norms = np.linalg.norm(normed.values.reshape(8, 9, -1), axis=2)
+        volume = correlation_map(f, g)
+        assert volume.shape == (8, 9, 7, 6)
+        assert volume.min() >= -1.0 and volume.max() <= 1.0
+        slab_norms = np.linalg.norm(volume.reshape(8, 9, -1), axis=2)
         np.testing.assert_allclose(slab_norms, 1.0, atol=1e-12)
 
     def test_zero_feature_vector_gives_zero_slab(self):
@@ -71,16 +83,11 @@ class TestCorrelationMap:
         data[2, 3] = 0.0
         f = FeatureMap(data)
         g = unit_vector_map(6, 6, 2, seed=6)
-        cmap = correlation_map(f, g)
-        assert np.all(cmap.values[2, 3] == 0.0)
-        assert np.isfinite(cmap.values).all()
-
-    def test_swap_transposition_symmetry_before_slab_normalization(self):
-        f = FeatureMap(np.random.default_rng(7).normal(size=(5, 6, 3)))
-        g = FeatureMap(np.random.default_rng(8).normal(size=(4, 7, 3)))
-        fwd = correlation_map(f, g, normalize_slabs=False).values
-        bwd = correlation_map(g, f, normalize_slabs=False).values
-        np.testing.assert_allclose(fwd, np.transpose(bwd, (2, 3, 0, 1)), atol=1e-14)
+        volume = correlation_map(f, g)
+        assert np.all(volume[2, 3] == 0.0)
+        assert np.isfinite(volume).all()
+        slab_norms = np.linalg.norm(volume.reshape(6, 6, -1), axis=2)
+        assert np.count_nonzero(slab_norms) == 35
 
     def test_budget_guard(self):
         big = FeatureMap(np.zeros((65, 64, 1)))
@@ -95,8 +102,7 @@ class TestCorrelationMap:
             )
 
     def test_median_flow_of_empty_signal_is_zero(self):
-        cmap = CorrelationMap(values=np.zeros((4, 4, 4, 4)), slab_normalized=True)
-        assert median_correlation_flow(cmap) == (0.0, 0.0)
+        assert median_correlation_flow(np.zeros((4, 4, 4, 4))) == (0.0, 0.0)
 
 
 class TestCandidateEnergy:
@@ -118,18 +124,17 @@ class TestCandidateEnergy:
             pair.points.at_level(1), pair.points.depths,
             np.array([p.rotation for p in poses]),
             np.array([p.translation for p in poses]),
-            pair.intrinsics.at_level(1), 0.3, 8,
+            pair.intrinsics.at_level(1), LMConfig(),
         )
         assert vec.shape == (len(poses),)
         for i, pose in enumerate(poses):
-            ref = candidate_energy(
-                pair.ref_pyramid.level(1), pair.tgt_pyramid.level(1),
-                pair.points, pair.intrinsics, pose,
-            )
+            ref = serial_energy(pair, pose)
             if math.isinf(ref):
                 assert math.isinf(vec[i])
             else:
                 assert vec[i] == pytest.approx(ref, rel=1e-12)
+            # the one-pose scorer is the grid's row, bit for bit
+            assert candidate_energy(*level1_args(pair), pose) == vec[i]
 
         # The extra poses reach every way a point drops out.
         evals = [
@@ -151,11 +156,22 @@ class TestCandidateEnergy:
         pair = large_pair
         # a pose that throws everything out of frame
         wild = SE3Pose(rotation=np.eye(3), translation=np.array([50.0, 0.0, 0.0]))
-        e = candidate_energy(
-            pair.ref_pyramid.level(1), pair.tgt_pyramid.level(1),
-            pair.points, pair.intrinsics, wild,
-        )
+        e = candidate_energy(*level1_args(pair), wild)
         assert math.isinf(e)
+
+    def test_energy_follows_solver_huber_gamma(self, large_pair):
+        pair = large_pair
+        pose = se3_exp(np.array([0.05, -0.02, 0.01, 0.01, 0.0, -0.01]))
+        narrow = candidate_energy(*level1_args(pair), pose, LMConfig(huber_gamma=0.05))
+        assert narrow == pytest.approx(serial_energy(pair, pose, huber_gamma=0.05), rel=1e-12)
+        assert narrow != candidate_energy(*level1_args(pair), pose)
+
+    def test_energy_follows_solver_min_valid_points(self, large_pair):
+        pair = large_pair
+        pose = se3_exp(np.array([0.05, -0.02, 0.01, 0.01, 0.0, -0.01]))
+        n = len(pair.points)
+        assert math.isfinite(candidate_energy(*level1_args(pair), pose, LMConfig(min_valid_points=1)))
+        assert math.isinf(candidate_energy(*level1_args(pair), pose, LMConfig(min_valid_points=n + 1)))
 
 
 class TestCorrPoseInit:
@@ -174,8 +190,8 @@ class TestCorrPoseInit:
         tx = 18.0 * float(scene.depth.mean()) / cfg.fx
         pose = SE3Pose(rotation=np.eye(3), translation=np.array([tx, 0.0, 0.0]))
         pair = build_pair(scene, pose, rng, magnitude_class="large", seed=4)
-        cmap = correlation_map(pair.ref_pyramid.level(1), pair.tgt_pyramid.level(1))
-        du, dv = median_correlation_flow(cmap)
+        volume = correlation_map(pair.ref_pyramid.level(1), pair.tgt_pyramid.level(1))
+        du, dv = median_correlation_flow(volume)
         gt_level1 = mean_flow(scene, pose) / 8.0
         assert abs(du - gt_level1) <= 1.0
         assert abs(dv) <= 1.0
@@ -189,8 +205,7 @@ class TestCorrPoseInit:
             seeded = corr_pose_init(
                 pair.ref_pyramid, pair.tgt_pyramid, pair.points, pair.intrinsics
             )
-            args = (pair.ref_pyramid.level(1), pair.tgt_pyramid.level(1),
-                    pair.points, pair.intrinsics)
+            args = level1_args(pair)
             assert candidate_energy(*args, seeded) <= candidate_energy(*args, SE3Pose.identity())
 
     def test_seed_usually_beats_identity_on_large_baselines(self):
@@ -203,11 +218,64 @@ class TestCorrPoseInit:
             seeded = corr_pose_init(
                 pair.ref_pyramid, pair.tgt_pyramid, pair.points, pair.intrinsics
             )
-            args = (pair.ref_pyramid.level(1), pair.tgt_pyramid.level(1),
-                    pair.points, pair.intrinsics)
+            args = level1_args(pair)
             if candidate_energy(*args, seeded) < candidate_energy(*args, SE3Pose.identity()):
                 wins += 1
         assert wins >= 8
+
+    def test_one_scorer_call_with_identity_first_and_solver_settings(self, large_pair, monkeypatch):
+        pair = large_pair
+        calls = []
+        real = pose_init._grid_energies
+
+        def recording(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pose_init, "_grid_energies", recording)
+        lm = LMConfig(huber_gamma=0.05, min_valid_points=6, margin=3.0)
+        corr_pose_init(pair.ref_pyramid, pair.tgt_pyramid, pair.points, pair.intrinsics, lm_config=lm)
+        assert len(calls) == 1
+        rotations, translations, lm_config = calls[0][4], calls[0][5], calls[0][7]
+        assert rotations.shape == (1 + 81 * 125, 3, 3)
+        np.testing.assert_array_equal(rotations[0], np.eye(3))
+        np.testing.assert_array_equal(translations[0], np.zeros(3))
+        assert lm_config is lm
+
+    def test_zero_ranges_score_identity_and_the_flow_seed(self, large_pair, monkeypatch):
+        pair = large_pair
+        rows = []
+        real = pose_init._grid_energies
+
+        def recording(*args):
+            rows.append(args[4].shape[0])
+            return real(*args)
+
+        monkeypatch.setattr(pose_init, "_grid_energies", recording)
+        cfg = InitConfig(yaw_range_deg=0.0, pitch_range_deg=0.0, t_range=0.0, t_steps=1)
+        corr_pose_init(pair.ref_pyramid, pair.tgt_pyramid, pair.points, pair.intrinsics, cfg)
+        assert rows == [2]
+
+    @pytest.mark.parametrize("identity_ahead", [True, False])
+    def test_tie_with_identity_returns_identity(self, large_pair, monkeypatch, identity_ahead):
+        pair = large_pair
+        real = pose_init._grid_energies
+        picked = []
+
+        def tied(*args):
+            energies = real(*args)
+            best = 1 + int(np.argmin(energies[1:]))
+            picked.append(SE3Pose(args[4][best], args[5][best]))
+            # identity equal to the best grid pose, or one ulp above it
+            energies[0] = energies[best] if identity_ahead else np.nextafter(energies[best], np.inf)
+            return energies
+
+        monkeypatch.setattr(pose_init, "_grid_energies", tied)
+        pose = corr_pose_init(pair.ref_pyramid, pair.tgt_pyramid, pair.points, pair.intrinsics)
+        expected = SE3Pose.identity() if identity_ahead else picked[0]
+        assert np.any(picked[0].translation != 0.0)
+        np.testing.assert_array_equal(pose.rotation, expected.rotation)
+        np.testing.assert_array_equal(pose.translation, expected.translation)
 
     def test_too_few_points_fall_back_to_identity(self, large_pair):
         pair = large_pair
@@ -233,3 +301,8 @@ class TestInitConfig:
         assert cfg.yaw_range_deg == 3.0
         assert cfg.t_steps == 3
         assert cfg.pitch_range_deg == 6.0
+
+    @pytest.mark.parametrize("key", ["huber_gamma", "min_valid_points"])
+    def test_solver_energy_keys_are_not_init_keys(self, key):
+        with pytest.raises(InitError, match=f"unknown init config key '{key}'"):
+            InitConfig.from_mapping({key: "1"})

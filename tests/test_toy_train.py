@@ -27,6 +27,11 @@ class TestTrainingSet:
         with pytest.raises(SynthError):
             make_toy_training_set(seed=0, n_pairs=2)
 
+    @pytest.mark.parametrize("flow_px", [500.0, float("nan")])
+    def test_unreachable_offset_flow_raises(self, flow_px):
+        with pytest.raises(SynthError, match="px evaluation offset in 1000 draws"):
+            make_toy_training_set(seed=0, n_pairs=4, eval_offsets=1, eval_flow_px=flow_px)
+
     def test_eval_offsets_have_requested_flow(self, small_set):
         for twist in small_set.eval_offsets:
             flow = mean_flow(small_set.scene, se3_exp(np.asarray(twist)))
