@@ -174,6 +174,15 @@ def gather_stencil(fmap: FeatureMap, queries: np.ndarray) -> Stencil:
         raise SampleOutOfBoundsError(
             f"query ({q[i, 0]:.3f}, {q[i, 1]:.3f}) outside margins of {w}x{h} map"
         )
+    return _stencil(fmap.values, q)
+
+
+def _stencil(values: np.ndarray, q: np.ndarray) -> Stencil:
+    """Stencil of (h, w, D) ``values`` at (n, 2) float64 queries in [0, w-1] x [0, h-1].
+
+    The one bilinear sampling core, shared by ``gather_stencil`` and ``synth.warp_scene``.
+    """
+    h, w = values.shape[:2]
     u, v = q[:, 0], q[:, 1]
     iu0 = np.floor(u).astype(np.intp)
     iv0 = np.floor(v).astype(np.intp)
@@ -185,7 +194,7 @@ def gather_stencil(fmap: FeatureMap, queries: np.ndarray) -> Stencil:
     fv = v - iv0
     # Flat cell ids of the four corners, in Stencil corner order.
     cells = (iv0 * w + iu0)[:, None] + (0, 1, w, w + 1)
-    corners = fmap.values.reshape(h * w, -1)[cells]
+    corners = values.reshape(h * w, -1)[cells]
     del cells  # before the float64 copy: the seed grid gathers ~6e5 queries at once
     corners = corners.astype(np.float64)
     return Stencil(corners=corners, fu=fu, fv=fv, iu0=iu0, iv0=iv0)
@@ -194,25 +203,6 @@ def gather_stencil(fmap: FeatureMap, queries: np.ndarray) -> Stencil:
 # ---------------------------------------------------------------------------
 # Baseline pyramid construction.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PyramidConfig:
-    """Channel recipe for image-derived pyramids.
-
-    ``channels`` may list "intensity" and "gradmag". ``normalize`` rescales
-    each channel per level to zero mean, unit standard deviation.
-    """
-
-    channels: tuple[str, ...] = ("intensity", "gradmag")
-    normalize: bool = True
-
-    def __post_init__(self) -> None:
-        if not self.channels:
-            raise FeatureMapError("at least one channel required")
-        for name in self.channels:
-            if name not in ("intensity", "gradmag"):
-                raise FeatureMapError(f"unknown channel {name!r}")
 
 
 def area_downsample(image: np.ndarray) -> np.ndarray:
@@ -228,29 +218,23 @@ def _gradient_magnitude(image: np.ndarray) -> np.ndarray:
     return np.sqrt(gx * gx + gy * gy)
 
 
-def _level_channels(image: np.ndarray, config: PyramidConfig) -> np.ndarray:
+def _level_channels(image: np.ndarray) -> np.ndarray:
+    """Intensity and gradient magnitude, each standardized to zero mean, unit std."""
     stack = []
-    for name in config.channels:
-        chan = image if name == "intensity" else _gradient_magnitude(image)
-        if config.normalize:
-            std = float(chan.std())
-            chan = (chan - chan.mean()) / max(std, 1e-12)
-        stack.append(chan)
+    for chan in (image, _gradient_magnitude(image)):
+        std = float(chan.std())
+        stack.append((chan - chan.mean()) / max(std, 1e-12))
     return np.stack(stack, axis=2)
 
 
-def build_baseline_pyramid(
-    image: np.ndarray, config: PyramidConfig | None = None
-) -> FeaturePyramid:
-    """Four-level pyramid of intensity-derived channels.
+def build_baseline_pyramid(image: np.ndarray) -> FeaturePyramid:
+    """Four-level pyramid of intensity and gradient-magnitude channels.
 
     The image is area-downsampled 2x per level; channels are computed on
-    each level's own grid and then normalized independently, so coarse
+    each level's own grid and then standardized independently, so coarse
     levels are not simple averages of fine-level features. Images whose
     dimensions are not multiples of 8 are reflect-padded up.
     """
-    if config is None:
-        config = PyramidConfig()
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise FeatureMapError(f"pyramid input must be 2-D, got shape {img.shape}")
@@ -268,7 +252,7 @@ def build_baseline_pyramid(
         finest = area_downsample(finest)
         per_level.append(finest)
     per_level.reverse()  # coarse first
-    return FeaturePyramid([FeatureMap(_level_channels(lvl, config)) for lvl in per_level])
+    return FeaturePyramid([FeatureMap(_level_channels(lvl)) for lvl in per_level])
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,6 @@ class CorrespondenceBatch:
     neg_uv: np.ndarray
     ring_uv: np.ndarray
     near_uv: np.ndarray
-    seed: int = 0
 
     def __post_init__(self):
         n = self.ref_uv.shape[0]
@@ -186,8 +185,7 @@ def sample_batch(rng, gt_correspondences, image_dims, config: LossConfig) -> Cor
     if n == 0:
         raise LossError("no correspondence clears the sampling margins")
 
-    seed = int(rng.integers(0, 2**31 - 1))
-    local = np.random.default_rng(seed)
+    local = np.random.default_rng(int(rng.integers(0, 2**31 - 1)))
 
     neg = np.stack(
         [local.uniform(lo, hi_u, size=n), local.uniform(lo, hi_v, size=n)], axis=1
@@ -216,7 +214,7 @@ def sample_batch(rng, gt_correspondences, image_dims, config: LossConfig) -> Cor
     near = gt + np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
 
     return CorrespondenceBatch(
-        ref_uv=corr[:, 0:2], gt_uv=gt, neg_uv=neg, ring_uv=ring, near_uv=near, seed=seed
+        ref_uv=corr[:, 0:2], gt_uv=gt, neg_uv=neg, ring_uv=ring, near_uv=near
     )
 
 

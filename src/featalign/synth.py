@@ -3,7 +3,8 @@
 The generator is built so that alignment residuals vanish exactly at the
 ground-truth pose. The scene texture plays the role of the target image;
 the reference view is synthesized by sampling that texture at forward-warped
-positions through the same warp and interpolation routines the solver uses.
+positions through the solver's own ``warp_points`` and its one bilinear
+stencil core (``feature_maps._stencil``, behind ``gather_stencil``).
 Both sides of the residual then evaluate the identical floating-point
 expression at the true pose, so the energy is zero to the last bit, not
 merely small. Feature pyramids for benchmark pairs repeat this construction
@@ -24,8 +25,7 @@ from .feature_maps import (
     FeatureMap,
     FeaturePyramid,
     PYRAMID_LEVELS,
-    SAMPLE_MARGIN,
-    PyramidConfig,
+    _stencil,
     build_baseline_pyramid,
     gather_stencil,
     in_margins,
@@ -257,24 +257,10 @@ def generate_scene(rng, config: SceneConfig | None = None, seed: int = 0) -> Syn
     )
 
 
-def _bilinear_raw(image, uv):
-    """Float64 bilinear lookup on a plain (h, w) array; exact at integers."""
-    h, w = image.shape
-    u = uv[:, 0]
-    v = uv[:, 1]
-    iu = np.clip(np.floor(u).astype(int), 0, w - 2)
-    iv = np.clip(np.floor(v).astype(int), 0, h - 2)
-    fu = u - iu
-    fv = v - iv
-    c00 = image[iv, iu]
-    c10 = image[iv, iu + 1]
-    c01 = image[iv + 1, iu]
-    c11 = image[iv + 1, iu + 1]
-    w00 = (1 - fu) * (1 - fv)
-    w10 = fu * (1 - fv)
-    w01 = (1 - fu) * fv
-    w11 = fu * fv
-    return c00 * w00 + c10 * w10 + c01 * w01 + c11 * w11
+def pixel_grid(height: int, width: int, stride: int = 1) -> np.ndarray:
+    """(n, 2) float64 (u, v) of every ``stride``-th pixel of a grid, row-major."""
+    vv, uu = np.mgrid[0:height:stride, 0:width:stride]
+    return np.stack([uu.ravel(), vv.ravel()], axis=1).astype(np.float64)
 
 
 def warp_scene(scene: SyntheticScene, pose: SE3Pose) -> WarpedView:
@@ -282,18 +268,16 @@ def warp_scene(scene: SyntheticScene, pose: SE3Pose) -> WarpedView:
 
     Occlusions are resolved with a z-buffer over rounded target cells: a
     pixel whose transformed depth exceeds the front-most depth landing in
-    the same cell (beyond a relative epsilon) is marked invalid. Raises
-    LowOverlapError when fewer than half of the pixels survive, signalling the caller to draw a different pose.
+    the same cell (beyond a relative epsilon) is marked invalid. Valid
+    pixels read the texture at their warped position through the solver's
+    bilinear stencil core. Raises LowOverlapError when fewer than half of
+    the pixels survive, signalling the caller to draw a different pose.
     """
     h, w = scene.texture.shape
-    vv, uu = np.mgrid[0:h, 0:w]
-    uv = np.stack([uu.ravel(), vv.ravel()], axis=1).astype(np.float64)
-    depths = scene.depth.ravel()
-
     # A pixel is valid anywhere inside the frame (plus roundoff slack);
     # interpolation margins are the solver's concern, not synthesis's.
     warped, valid, transformed = warp_points(
-        uv, depths, pose, scene.intrinsics, margin=-_EDGE_EPS
+        pixel_grid(h, w), scene.depth.ravel(), pose, scene.intrinsics, margin=-_EDGE_EPS
     )
 
     # Z-buffer pass over target cells to mark occluded reference pixels.
@@ -313,7 +297,9 @@ def warp_scene(scene: SyntheticScene, pose: SE3Pose) -> WarpedView:
         )
 
     image = np.zeros(h * w)
-    image[valid] = _bilinear_raw(scene.texture, warped[valid])
+    # Valid pixels reach _EDGE_EPS below 0; the stencil core clamps only the high edges.
+    queries = np.maximum(warped[valid], 0.0)
+    image[valid] = _stencil(scene.texture[:, :, None], queries).values()[:, 0]
     return WarpedView(
         image=image.reshape(h, w),
         valid=valid.reshape(h, w),
@@ -324,8 +310,7 @@ def warp_scene(scene: SyntheticScene, pose: SE3Pose) -> WarpedView:
 def mean_flow(scene: SyntheticScene, pose: SE3Pose) -> float:
     """Mean pixel displacement induced by a pose over a subsampled grid."""
     h, w = scene.texture.shape
-    vv, uu = np.mgrid[0:h:_FLOW_STRIDE, 0:w:_FLOW_STRIDE]
-    uv = np.stack([uu.ravel(), vv.ravel()], axis=1).astype(np.float64)
+    uv = pixel_grid(h, w, _FLOW_STRIDE)
     depths = scene.depth[::_FLOW_STRIDE, ::_FLOW_STRIDE].ravel()
     warped, valid, _ = warp_points(uv, depths, pose, scene.intrinsics)
     if not valid.any():
@@ -402,12 +387,9 @@ def select_sparse_points(
     gradmag = np.hypot(gx, gy)
     threshold = 0.5 * gradmag.mean()
 
-    vv, uu = np.mgrid[0:h:stride, 0:w:stride]
-    uu = uu.ravel()
-    vv = vv.ravel()
-    keep = in_margins(np.stack([uu, vv], axis=1), w, h, margin) & (
-        gradmag[vv, uu] > threshold
-    )
+    lattice = pixel_grid(h, w, stride)
+    uu, vv = lattice.T.astype(np.intp)
+    keep = in_margins(lattice, w, h, margin) & (gradmag[vv, uu] > threshold)
     if mask is not None:
         keep &= np.asarray(mask, dtype=bool)[vv, uu]
     uu, vv = uu[keep], vv[keep]
@@ -442,16 +424,12 @@ def exact_reference_pyramid(
         h_l, w_l, d = tgt_level.height, tgt_level.width, tgt_level.channels
         scale = 2 ** (PYRAMID_LEVELS - level_index)
         k_l = scene.intrinsics.at_level(level_index)
-        vv, uu = np.mgrid[0:h_l, 0:w_l]
-        uv = np.stack([uu.ravel(), vv.ravel()], axis=1).astype(np.float64)
         depths = scene.depth[::scale, ::scale].ravel()
-        warped, valid, _ = warp_points(uv, depths, pose, k_l)
+        # warp_points' WARP_MARGIN covers gather_stencil's SAMPLE_MARGIN.
+        warped, valid, _ = warp_points(pixel_grid(h_l, w_l), depths, pose, k_l)
 
         data = np.zeros((h_l * w_l, d), dtype=np.float64)
-        # Shrink by the sampling margin so gather_stencil never raises.
-        inside = valid & in_margins(warped, w_l, h_l, SAMPLE_MARGIN)
-        if inside.any():
-            data[inside] = gather_stencil(tgt_level, warped[inside]).values()
+        data[valid] = gather_stencil(tgt_level, warped[valid]).values()
         levels.append(FeatureMap(data.reshape(h_l, w_l, d)))
     return FeaturePyramid(levels=tuple(levels))
 
@@ -463,7 +441,6 @@ def build_pair(
     magnitude_class: str = "small",
     n_points: int = 64,
     photometric: PhotometricParams | None = None,
-    pyramid_config: PyramidConfig | None = None,
     seed: int = 0,
 ) -> BenchmarkPair:
     """Assemble a benchmark pair with exact ground-truth consistency.
@@ -475,15 +452,9 @@ def build_pair(
     """
     view = warp_scene(scene, pose)
 
-    texture = scene.texture
+    clean_pyramid = tgt_pyramid = build_baseline_pyramid(scene.texture)
     if photometric is not None and not photometric.is_identity():
-        texture = photometric_perturb(scene.texture, photometric, rng)
-    tgt_pyramid = build_baseline_pyramid(texture, pyramid_config)
-    clean_pyramid = (
-        tgt_pyramid
-        if texture is scene.texture
-        else build_baseline_pyramid(scene.texture, pyramid_config)
-    )
+        tgt_pyramid = build_baseline_pyramid(photometric_perturb(scene.texture, photometric, rng))
     ref_pyramid = exact_reference_pyramid(scene, pose, clean_pyramid)
 
     # Points must stay clear of every level's margins; the coarsest level

@@ -24,7 +24,6 @@ import numpy as np
 
 from .configfile import dataclass_from_mapping
 from .feature_maps import (
-    SAMPLE_MARGIN,
     FeatureMap,
     SampleOutOfBoundsError,
     build_baseline_pyramid,
@@ -40,6 +39,7 @@ from .synth import (
     SyntheticScene,
     generate_scene,
     mean_flow,
+    pixel_grid,
     sample_pose_perturbation,
     select_sparse_points,
     warp_scene,
@@ -96,6 +96,10 @@ class ToyTrainConfig:
     eval_flow_px: float = 5.0
     ref_noise: float = 0.2
 
+    def __post_init__(self):
+        if self.eval_interval < 1:
+            raise LossError("eval_interval must be positive")
+
     @classmethod
     def from_mapping(cls, mapping) -> "ToyTrainConfig":
         """Build from config-file strings; loss keys ride along flat.
@@ -133,8 +137,7 @@ def reference_map(params: np.ndarray, pair: ToyPair) -> FeatureMap:
     live = FeatureMap(params)
     h, w, c = pair.noise.shape
     data = np.zeros((h * w, c), dtype=np.float64)
-    if len(pair.sample_rows):
-        data[pair.sample_rows] = gather_stencil(live, pair.sample_uv).values()
+    data[pair.sample_rows] = gather_stencil(live, pair.sample_uv).values()
     return FeatureMap(data.reshape(h, w, c) + pair.noise)
 
 
@@ -160,6 +163,10 @@ def make_toy_training_set(
     """
     if n_pairs < 4:
         raise SynthError("toy training wants at least 4 pairs")
+    if eval_offsets < 1:
+        raise SynthError("eval_offsets must be at least 1")
+    if ref_noise < 0.0:
+        raise SynthError("ref_noise must be non-negative")
     rng = np.random.default_rng(seed)
     cfg = SceneConfig(height=64, width=64, fx=64.0, fy=64.0, depth_noise=0.2)
     scene = generate_scene(rng, cfg, seed=seed)
@@ -169,8 +176,7 @@ def make_toy_training_set(
     init = build_baseline_pyramid(scene.texture).level(4).values.astype(np.float64)
     channels = init.shape[2]
 
-    vv_grid, uu_grid = np.mgrid[0:h, 0:w]
-    grid_uv = np.stack([uu_grid.ravel(), vv_grid.ravel()], axis=1).astype(np.float64)
+    grid_uv = pixel_grid(h, w)
     grid_depth = scene.depth.ravel()
 
     pairs = []
@@ -179,8 +185,8 @@ def make_toy_training_set(
         pose = sample_pose_perturbation(rng, magnitude, scene)
         view = warp_scene(scene, pose)
 
+        # warp_points' WARP_MARGIN covers gather_stencil's SAMPLE_MARGIN.
         warped, valid, _ = warp_points(grid_uv, grid_depth, pose, k)
-        inside = valid & in_margins(warped, w, h, SAMPLE_MARGIN)
         noise = rng.normal(0.0, ref_noise, size=(h, w, channels)) if ref_noise > 0 else np.zeros((h, w, channels))
 
         corr = view.correspondence
@@ -202,8 +208,8 @@ def make_toy_training_set(
             ToyPair(
                 gt_pose=pose,
                 noise=noise,
-                sample_uv=warped[inside],
-                sample_rows=np.nonzero(inside)[0],
+                sample_uv=warped[valid],
+                sample_rows=np.nonzero(valid)[0],
                 correspondences=pool,
                 points=points,
             )

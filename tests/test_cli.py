@@ -224,6 +224,19 @@ class TestTrainToy:
         err = capsys.readouterr().err
         assert "error:" in err and "'eval_flow_px'" in err
 
+    @pytest.mark.parametrize(
+        "key, value", [("eval_interval", "0"), ("eval_offsets", "0"), ("ref_noise", "-1")]
+    )
+    def test_bad_training_value_exits_1(self, tmp_path, capsys, key, value):
+        # eval_interval = 0 used to divide by zero, eval_offsets = 0 to report
+        # nan over no starts, and ref_noise = -1 to train without noise
+        lines = {"n_pairs": "4", "eval_offsets": "2", key: value}
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        assert main(["train-toy", "--config", str(cfg), "--epochs", "1"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err
+
 
 class TestBenchmark:
     def test_report_files_and_determinism(self, dataset, tmp_path):

@@ -1,13 +1,21 @@
 """Synthetic harness tests: the ground-truth consistency oracle lives here."""
 
+import functools
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from featalign.feature_maps import PyramidConfig
-from featalign.geometry import SE3Pose, se3_exp
+from featalign.feature_maps import (
+    PYRAMID_LEVELS,
+    SAMPLE_MARGIN,
+    build_baseline_pyramid,
+    gather_stencil,
+)
+from featalign.geometry import WARP_MARGIN, SE3Pose, se3_exp, warp_points
 from featalign.lm_align import compute_residuals
 from featalign.synth import (
     DatasetConfig,
@@ -27,6 +35,7 @@ from featalign.synth import (
     load_pair_entry,
     mean_flow,
     photometric_perturb,
+    pixel_grid,
     sample_pose_perturbation,
     select_sparse_points,
     warp_scene,
@@ -321,30 +330,54 @@ class TestBenchmarkPair:
         rng = np.random.default_rng(6)
         scene = generate_scene(rng, SceneConfig(), seed=6)
         pose = sample_pose_perturbation(rng, "small", scene)
-        shift = PhotometricParams(b=0.2)
+        # Standardizing the intensity channel removes a global offset, and
+        # the gradient channel never sees it, so the truth keeps zero energy.
+        pair = build_pair(
+            scene, pose, np.random.default_rng(7), photometric=PhotometricParams(b=0.2)
+        )
+        out = compute_residuals(
+            pair.ref_pyramid.level(4),
+            pair.tgt_pyramid.level(4),
+            pair.points.at_level(4),
+            pair.points.depths,
+            pair.gt_pose,
+            pair.intrinsics.at_level(4),
+        )
+        assert out.energy < 1e-6
 
-        def gt_energy(pyramid_config):
-            pair = build_pair(
-                scene,
+
+@functools.lru_cache(maxsize=1)
+def _scene_and_pyramid():
+    scene = _default_scene(12)
+    return scene, build_baseline_pyramid(scene.texture)
+
+
+class TestWarpMarginCoversSampleMargin:
+    """exact_reference_pyramid and the toy trainer sample at every position
+    warp_points marks valid, with no margin check of their own."""
+
+    def test_warp_margin_at_least_sample_margin(self):
+        assert WARP_MARGIN >= SAMPLE_MARGIN
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        translation=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+        rotation=st.tuples(*[st.floats(-0.2, 0.2)] * 3),
+    )
+    def test_gather_accepts_every_valid_warp(self, translation, rotation):
+        scene, pyramid = _scene_and_pyramid()
+        pose = se3_exp(np.array(translation + rotation))
+        for level, fmap in enumerate(pyramid.levels, start=1):
+            scale = 2 ** (PYRAMID_LEVELS - level)
+            warped, valid, _ = warp_points(
+                pixel_grid(fmap.height, fmap.width),
+                scene.depth[::scale, ::scale].ravel(),
                 pose,
-                np.random.default_rng(7),
-                photometric=shift,
-                pyramid_config=pyramid_config,
+                scene.intrinsics.at_level(level),
             )
-            out = compute_residuals(
-                pair.ref_pyramid.level(4),
-                pair.tgt_pyramid.level(4),
-                pair.points.at_level(4),
-                pair.points.depths,
-                pair.gt_pose,
-                pair.intrinsics.at_level(4),
-            )
-            return out.energy
-
-        raw = gt_energy(PyramidConfig(channels=("intensity",), normalize=False))
-        grad = gt_energy(PyramidConfig(channels=("gradmag",), normalize=False))
-        assert raw > 1e-3
-        assert grad < 1e-6
+            # Raises SampleOutOfBoundsError on a valid point inside WARP_MARGIN's
+            # band but outside SAMPLE_MARGIN's.
+            assert gather_stencil(fmap, warped[valid]).corners.shape == (valid.sum(), 4, 2)
 
 
 class TestDataset:
