@@ -194,9 +194,8 @@ def _stencil(values: np.ndarray, q: np.ndarray) -> Stencil:
     fv = v - iv0
     # Flat cell ids of the four corners, in Stencil corner order.
     cells = (iv0 * w + iu0)[:, None] + (0, 1, w, w + 1)
-    corners = values.reshape(h * w, -1)[cells]
-    del cells  # before the float64 copy: the seed grid gathers ~6e5 queries at once
-    corners = corners.astype(np.float64)
+    # np.take copies the same bytes as ``flat[cells]`` far faster.
+    corners = np.take(values.reshape(h * w, -1), cells, axis=0).astype(np.float64)
     return Stencil(corners=corners, fu=fu, fv=fv, iu0=iu0, iv0=iv0)
 
 

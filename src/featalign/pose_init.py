@@ -24,6 +24,10 @@ from .geometry import CameraIntrinsics, SE3Pose
 from .lm_align import LMConfig, SparsePointSet, _huber, _level_inputs, _residuals_batched
 
 CORRELATION_BUDGET = 4096  # max pixels per map in the all-pairs product
+# Candidate rows per residual-kernel call. A block's (rows, points, 4, D)
+# float64 corner stack is about 2 MB at 64 points and D = 2, against about
+# 41 MB for the whole grid at once, which is slower.
+_GRID_BLOCK = 512
 
 
 class InitError(Exception):
@@ -149,15 +153,23 @@ def _grid_energies(
     win by throwing points away. Rows are summed with their invalid (zero)
     entries in place, so an energy can differ from the serial
     ``compute_residuals(...).energy / n_valid`` in the last bits.
+
+    The level inputs are built once and the kernel runs over blocks of
+    ``_GRID_BLOCK`` rows. Each row's energy depends on that row alone, so
+    the blocks give the same bits as one call over every row, while peak
+    memory scales with block x points instead of candidates x points.
     """
-    _, norms, valid, _, _, _ = _residuals_batched(
-        _level_inputs(ref_l1, uv1, depths, k1), tgt_l1, rotations, translations, k1,
-        lm_config.margin,
-    )
-    n_valid = valid.sum(axis=1)
-    energies = np.full(valid.shape[0], np.inf)
-    enough = n_valid >= lm_config.min_valid_points
-    energies[enough] = _huber(norms, lm_config.huber_gamma).sum(axis=1)[enough] / n_valid[enough]
+    level = _level_inputs(ref_l1, uv1, depths, k1)
+    energies = np.full(rotations.shape[0], np.inf)
+    for start in range(0, rotations.shape[0], _GRID_BLOCK):
+        rows = slice(start, start + _GRID_BLOCK)
+        _, norms, valid, _, _, _ = _residuals_batched(
+            level, tgt_l1, rotations[rows], translations[rows], k1, lm_config.margin
+        )
+        n_valid = valid.sum(axis=1)
+        enough = n_valid >= lm_config.min_valid_points
+        block = energies[rows]  # a view: writes land in ``energies``
+        block[enough] = _huber(norms[enough], lm_config.huber_gamma).sum(axis=1) / n_valid[enough]
     return energies
 
 

@@ -9,6 +9,7 @@ from featalign.feature_maps import (
     FeatureMapError,
     FeaturePyramid,
     SampleOutOfBoundsError,
+    _stencil,
     area_downsample,
     build_baseline_pyramid,
     gather_stencil,
@@ -94,6 +95,44 @@ class TestBilinearSample:
             v, g = _sample(fmap, qs[i])
             np.testing.assert_array_equal(vals[i], v)
             np.testing.assert_array_equal(grads[i], g)
+
+
+class TestStencilGather:
+    """``_stencil``'s ``np.take`` gather against plain fancy indexing."""
+
+    @staticmethod
+    def fancy_index_corners(values, q):
+        h, w = values.shape[:2]
+        iu0 = np.minimum(np.floor(q[:, 0]).astype(np.intp), w - 2)
+        iv0 = np.minimum(np.floor(q[:, 1]).astype(np.intp), h - 2)
+        cells = (iv0 * w + iu0)[:, None] + (0, 1, w, w + 1)
+        return values.reshape(h * w, -1)[cells].astype(np.float64)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_corners_equal_fancy_index_bit_for_bit(self, d, dtype):
+        h, w = 9, 11
+        rng = np.random.default_rng(d)
+        values = rng.normal(size=(h, w, d)).astype(dtype)
+        q = np.concatenate([
+            rng.uniform(0.0, [w - 1, h - 1], size=(40, 2)),
+            [[0.0, 0.0], [3.0, 5.0], [w - 2, h - 2]],  # integer nodes
+            [[w - 1, h - 1], [w - 1, 2.5], [4.25, h - 1]],  # clamped to the last cell
+        ])
+        st = _stencil(values, q)
+        expected = self.fancy_index_corners(values, q)
+        assert st.corners.dtype == np.float64 and st.corners.shape == (len(q), 4, d)
+        assert st.corners.tobytes() == expected.tobytes()
+        assert st.iu0.max() == w - 2 and st.iv0.max() == h - 2
+        np.testing.assert_array_equal(st.fu[-3:], [1.0, 1.0, 0.25])
+        np.testing.assert_array_equal(st.fv[-3:], [1.0, 0.5, 1.0])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_zero_queries_give_empty_float64_corners(self, d):
+        values = np.ones((6, 7, d), dtype=np.float32)
+        st = _stencil(values, np.zeros((0, 2)))
+        assert st.corners.shape == (0, 4, d) and st.corners.dtype == np.float64
+        assert gather_stencil(FeatureMap(values), np.zeros((0, 2))).values().shape == (0, d)
 
 
 class TestFeatureMapType:

@@ -8,7 +8,14 @@ import pytest
 from featalign.feature_maps import FeatureMap
 from featalign.geometry import SE3Pose, se3_exp
 from featalign import pose_init
-from featalign.lm_align import LMConfig, SparsePointSet, compute_residuals
+from featalign.lm_align import (
+    LMConfig,
+    SparsePointSet,
+    _huber,
+    _level_inputs,
+    _residuals_batched,
+    compute_residuals,
+)
 from featalign.pose_init import (
     CORRELATION_BUDGET,
     InitConfig,
@@ -172,6 +179,62 @@ class TestCandidateEnergy:
         n = len(pair.points)
         assert math.isfinite(candidate_energy(*level1_args(pair), pose, LMConfig(min_valid_points=1)))
         assert math.isinf(candidate_energy(*level1_args(pair), pose, LMConfig(min_valid_points=n + 1)))
+
+
+def one_shot_energies(pair, rotations, translations, lm_config):
+    """The grid energies from one kernel call over every row."""
+    level = _level_inputs(
+        pair.ref_pyramid.level(1), pair.points.at_level(1), pair.points.depths,
+        pair.intrinsics.at_level(1),
+    )
+    _, norms, valid, _, _, _ = _residuals_batched(
+        level, pair.tgt_pyramid.level(1), rotations, translations,
+        pair.intrinsics.at_level(1), lm_config.margin,
+    )
+    n_valid = valid.sum(axis=1)
+    energies = np.full(valid.shape[0], np.inf)
+    enough = n_valid >= lm_config.min_valid_points
+    energies[enough] = _huber(norms, lm_config.huber_gamma).sum(axis=1)[enough] / n_valid[enough]
+    return energies
+
+
+class TestGridBlocks:
+    @pytest.mark.parametrize(
+        "offset", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
+        ids=["1", "block-1", "block", "block+1", "2block+3"],
+    )
+    def test_blocks_equal_one_shot_kernel_bit_for_bit(self, large_pair, monkeypatch, offset):
+        block = pose_init._GRID_BLOCK
+        m = offset[0] * block + offset[1]
+        rng = np.random.default_rng(m)
+        twists = rng.uniform(-0.15, 0.15, size=(m, 6))
+        twists[3::7] = [4.0, 0.0, 0.0, 0.0, 0.0, 0.0]  # fewer than min_valid_points
+        twists[5::7] = [6.0, 0.0, 0.0, 0.0, 0.0, 0.0]  # none valid
+        poses = [se3_exp(t) for t in twists]
+        rotations = np.array([p.rotation for p in poses])
+        translations = np.array([p.translation for p in poses])
+        lm = LMConfig()
+        expected = one_shot_energies(large_pair, rotations, translations, lm)
+
+        rows = []
+        real = pose_init._residuals_batched
+
+        def recording(level, tgt, rot, trans, *rest):
+            rows.append(rot.shape[0])
+            return real(level, tgt, rot, trans, *rest)
+
+        monkeypatch.setattr(pose_init, "_residuals_batched", recording)
+        pair = large_pair
+        energies = _grid_energies(
+            pair.ref_pyramid.level(1), pair.tgt_pyramid.level(1),
+            pair.points.at_level(1), pair.points.depths,
+            rotations, translations, pair.intrinsics.at_level(1), lm,
+        )
+        assert energies.tobytes() == expected.tobytes()
+        assert rows == [block] * (m // block) + ([m % block] if m % block else [])
+        if m > 5:
+            assert np.isinf(energies).sum() == len(twists[3::7]) + len(twists[5::7])
+        assert np.isfinite(energies).any()
 
 
 class TestCorrPoseInit:

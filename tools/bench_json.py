@@ -12,6 +12,8 @@ the untraced records the output holds the values in argument order, their
 median and quartiles, and, where both sides have the same number of runs,
 how many of the side-by-side pairs the second side wins (pairs in argument
 order, ties count for neither side, the direction from BENCHMARK.json).
+Records of the default seed in ``perfbench/plan.json`` go under the
+workload's name, those of any other seed under ``<workload>-seed<s>``.
 Traced records contribute their per-layer medians. The machine facts of
 every record are kept; records from different machines are refused.
 """
@@ -38,6 +40,8 @@ def summarize(values: list) -> dict:
 def fold(args: list) -> dict:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         better = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
+    with open(os.path.join(ROOT, "perfbench", "plan.json")) as handle:
+        default_seed = json.load(handle)["seeds"]["default"]
     runs: dict = {}
     machine = None
     for arg in args:
@@ -57,7 +61,8 @@ def fold(args: list) -> dict:
 
     out = {"machine": machine, "workloads": {}}
     for (workload, seed, mode), sides in sorted(runs.items()):
-        entry = out["workloads"].setdefault(workload, {"seed": seed})
+        name = workload if seed == default_seed else f"{workload}-seed{seed}"
+        entry = out["workloads"].setdefault(name, {"seed": seed})
         for side, records in sides.items():
             names = records[0][mode]
             block = entry.setdefault(side, {})
