@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configfile import dataclass_from_mapping
-from .feature_maps import in_margins
 
 # Depth of a camera-frame point must exceed this before projection.
 Z_MIN = 1e-6
@@ -254,18 +253,33 @@ def _project_batch(
     would.
     """
     transformed = points @ rotations.transpose(0, 2, 1) + translations[:, None]
-    z = transformed[..., 2]
-    valid = (points[:, 2] > 0.0) & (z > Z_MIN)
-    zsafe = np.where(valid, z, 1.0)
-    warped = np.stack(
-        [
-            intrinsics.fx * transformed[..., 0] / zsafe + intrinsics.cx,
-            intrinsics.fy * transformed[..., 1] / zsafe + intrinsics.cy,
-        ],
-        axis=-1,
+    u, v, valid = _project_planes(
+        points[:, 2] > 0.0, transformed[..., 0], transformed[..., 1], transformed[..., 2],
+        intrinsics, margin,
     )
-    valid &= in_margins(warped, intrinsics.width, intrinsics.height, margin)
-    return warped, valid, transformed
+    return np.stack([u, v], axis=-1), valid, transformed
+
+
+def _project_planes(
+    usable: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray,
+    intrinsics: CameraIntrinsics, margin: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Project target-frame coordinates held as (M, n) planes: ``(u, v, valid)``.
+
+    ``usable`` (n,) marks the points that may be valid at all, at least
+    those with positive reference depth. A point is valid when it is also
+    in front of the target camera and its pixel lies ``margin`` inside the
+    image, with ``in_margins``' inclusive bounds. Per-coordinate planes keep
+    the arithmetic on long contiguous rows, which a grid of many poses
+    needs.
+    """
+    valid = usable & (z > Z_MIN)
+    zsafe = np.where(valid, z, 1.0)
+    u = intrinsics.fx * x / zsafe + intrinsics.cx
+    v = intrinsics.fy * y / zsafe + intrinsics.cy
+    valid &= (u >= margin) & (u <= intrinsics.width - 1 - margin)
+    valid &= (v >= margin) & (v <= intrinsics.height - 1 - margin)
+    return u, v, valid
 
 
 def warp_points(

@@ -23,7 +23,9 @@ from .feature_maps import (
     SAMPLE_MARGIN,
     FeatureMap,
     FeaturePyramid,
+    SampleOutOfBoundsError,
     Stencil,
+    _stencil,
     gather_stencil,
     in_margins,
 )
@@ -136,10 +138,21 @@ class LMConfig:
             raise AlignmentError(f"levels must be drawn from 1..4, got {self.levels}")
         if list(self.levels) != sorted(self.levels):
             raise AlignmentError("levels must be ascending (coarse to fine)")
+        _check_margin(self.margin)
 
     @classmethod
     def from_mapping(cls, mapping) -> "LMConfig":
         return dataclass_from_mapping(cls, mapping, AlignmentError, "solver")
+
+
+def _check_margin(margin: float) -> None:
+    """Refuse a warp margin that would let a valid point sit outside the
+    target's interpolation margins; the kernel samples valid points
+    without testing them again."""
+    if not margin >= SAMPLE_MARGIN:
+        raise AlignmentError(
+            f"margin must be at least {SAMPLE_MARGIN:g} (the sampling margin), got {margin}"
+        )
 
 
 def _huber(norms: np.ndarray, gamma: float) -> np.ndarray:
@@ -196,6 +209,48 @@ def _level_inputs(
     return _LevelInputs(points, in_ref, ref_vals)
 
 
+def _sample_valid(
+    ref_vals: np.ndarray, tgt: FeatureMap, warped: np.ndarray, valid: np.ndarray,
+    intrinsics: CameraIntrinsics,
+) -> tuple[np.ndarray, Stencil, np.ndarray]:
+    """Target stencil and residuals of the valid entries of an (M, n) mask.
+
+    ``warped`` (M, n, 2) holds target pixels and ``ref_vals`` (n, D) the
+    reference samples. Returns the flat (pose, point) ids of the valid
+    entries in row-major order, their stencil and their (k, D) residuals.
+    Valid pixels lie a warp margin of at least ``SAMPLE_MARGIN``
+    (``_check_margin``) inside the ``intrinsics`` extent, so they are
+    sampled without a second margin test once the target map is known to
+    cover that extent; a smaller map raises ``SampleOutOfBoundsError``.
+    """
+    if tgt.width < intrinsics.width or tgt.height < intrinsics.height:
+        raise SampleOutOfBoundsError(
+            f"{tgt.width}x{tgt.height} target map is smaller than the "
+            f"{intrinsics.width}x{intrinsics.height} image of its intrinsics"
+        )
+    # np.take and flat stores move the same bytes as boolean-mask
+    # indexing, faster.
+    flat = np.flatnonzero(valid)
+    stencil = _stencil(tgt.values, np.take(warped.reshape(-1, 2), flat, axis=0))
+    res = stencil.values() - np.take(ref_vals, flat % valid.shape[1], axis=0)
+    return flat, stencil, res
+
+
+def _valid_norms(
+    ref_vals: np.ndarray, tgt: FeatureMap, warped: np.ndarray, valid: np.ndarray,
+    intrinsics: CameraIntrinsics,
+) -> np.ndarray:
+    """Residual norms (M, n) of ``_sample_valid``'s entries, zero where invalid.
+
+    The same norms as ``_residuals_batched``'s without its other outputs:
+    the seed grid scores with them.
+    """
+    flat, _, res = _sample_valid(ref_vals, tgt, warped, valid, intrinsics)
+    norms = np.zeros(valid.shape)
+    norms.reshape(-1)[flat] = np.linalg.norm(res, axis=1)
+    return norms
+
+
 def _residuals_batched(
     level: _LevelInputs, tgt: FeatureMap, rotations: np.ndarray, translations: np.ndarray,
     intrinsics: CameraIntrinsics, margin: float = 2.0,
@@ -211,14 +266,9 @@ def _residuals_batched(
         level.points, rotations, translations, intrinsics, margin
     )
     valid &= level.in_ref
-    # Flat (pose, point) ids of the valid entries, row-major: np.take and
-    # flat stores move the same bytes as boolean-mask indexing, faster.
-    flat = np.flatnonzero(valid)
-    n, d = valid.shape[1], tgt.channels
-    stencil = gather_stencil(tgt, np.take(warped.reshape(-1, 2), flat, axis=0))
-    res = stencil.values() - np.take(level.ref_vals, flat % n, axis=0)
-    residuals = np.zeros(valid.shape + (d,))
-    residuals.reshape(-1, d)[flat] = res
+    flat, stencil, res = _sample_valid(level.ref_vals, tgt, warped, valid, intrinsics)
+    residuals = np.zeros(valid.shape + (tgt.channels,))
+    residuals.reshape(-1, tgt.channels)[flat] = res
     norms = np.zeros(valid.shape)
     norms.reshape(-1)[flat] = np.linalg.norm(res, axis=1)
     return residuals, norms, valid, warped, transformed, stencil
@@ -254,7 +304,9 @@ def compute_residuals(
     coordinates cannot be sampled in the reference are marked invalid and
     contribute nothing. This is the one-pose case of the kernel the seed
     grid search scores its candidates with and the solver iterates.
+    ``margin`` must be at least ``SAMPLE_MARGIN``.
     """
+    _check_margin(margin)
     return _evaluate(
         _level_inputs(ref, uv, depths, intrinsics), tgt, pose, intrinsics, huber_gamma, margin
     )
@@ -282,8 +334,10 @@ def compute_jacobian(
 ) -> tuple[np.ndarray, np.ndarray]:
     """d(residual)/d(twist) at delta = 0, shape (n, D, 6), and the warp mask.
 
-    Rows of points whose warp is invalid are zero.
+    Rows of points whose warp is invalid are zero. ``margin`` must be at
+    least ``SAMPLE_MARGIN``.
     """
+    _check_margin(margin)
     warped, valid, transformed = warp_points(uv, depths, pose, intrinsics, margin=margin)
     jac = np.zeros((valid.shape[0], tgt.channels, 6))
     stencil = gather_stencil(tgt, warped[valid])

@@ -7,9 +7,12 @@ dominant 2-D flow, the flow lifts to a translation guess, and a small grid
 search over yaw/pitch and axis translations picks the candidate with the
 lowest coarse-level alignment energy. The identity pose is the grid's
 first row and wins ties, so the seed can never be worse than not seeding
-at all. One scorer, ``_grid_energies``, scores every candidate with the
-Huber gamma, minimum valid-point count and warp margin of the solver's
+at all. One scorer, ``_grid_energies``, defines a candidate's energy with
+the Huber gamma, minimum valid-point count and warp margin of the solver's
 ``LMConfig``, so the seed minimizes the energy the solver then minimizes.
+``_best_row`` finds the grid's lowest-energy row bit for bit while scoring
+only the few rows that lower bounds from a subset of the points cannot
+rule out.
 """
 
 from __future__ import annotations
@@ -20,14 +23,34 @@ import numpy as np
 
 from .configfile import dataclass_from_mapping
 from .feature_maps import FeatureMap, FeaturePyramid
-from .geometry import CameraIntrinsics, SE3Pose
-from .lm_align import LMConfig, SparsePointSet, _huber, _level_inputs, _residuals_batched
+from .geometry import CameraIntrinsics, SE3Pose, _project_planes
+from .lm_align import (
+    LMConfig,
+    SparsePointSet,
+    _huber,
+    _level_inputs,
+    _LevelInputs,
+    _valid_norms,
+)
 
 CORRELATION_BUDGET = 4096  # max pixels per map in the all-pairs product
 # Candidate rows per residual-kernel call. A block's (rows, points, 4, D)
 # float64 corner stack is about 2 MB at 64 points and D = 2, against about
 # 41 MB for the whole grid at once, which is slower.
 _GRID_BLOCK = 512
+# The seed grid is scored in full only where it can still win (``_best_row``):
+# every row first gets a lower bound from every 8th point, the rows that
+# survive a tighter one from every 2nd point. After each round the
+# ``_FIRST_EXACT`` most promising rows are scored exactly to set the cut.
+_BOUND_STRIDES = (8, 2)
+_FIRST_EXACT = 32
+# A bound sums a subset of the non-negative terms of its row's energy in
+# another order; this relative slack covers that rounding many times over.
+_BOUND_SLACK = 1e-9
+# Every row holds a translation, a rotation index and a few per-row
+# scores, about 100 bytes; a million rows keep that near 100 MB (the
+# default grid has 10,126).
+MAX_GRID_ROWS = 10**6
 
 
 class InitError(Exception):
@@ -111,6 +134,16 @@ class InitConfig:
         for key in ("yaw_range_deg", "pitch_range_deg", "t_range"):
             if getattr(self, key) < 0:
                 raise InitError(f"{key} must be non-negative")
+        # Counted in floats, so an absurd range cannot overflow the check.
+        rows = (
+            (2 * np.round(self.yaw_range_deg / self.yaw_step_deg) + 1)
+            * (2 * np.round(self.pitch_range_deg / self.pitch_step_deg) + 1)
+            * float(self.t_steps) ** 3 + 1
+        )
+        if not rows <= MAX_GRID_ROWS:
+            raise InitError(
+                f"the seed grid would have {rows:.3g} rows, more than {MAX_GRID_ROWS:g}"
+            )
 
     @classmethod
     def from_mapping(cls, mapping) -> "InitConfig":
@@ -127,50 +160,162 @@ def candidate_energy(
 ) -> float:
     """The seed's coarse-level energy of one pose: ``_grid_energies``'s
     one-row call, so it equals that pose's row in the grid bit for bit."""
+    k1 = intrinsics.at_level(1)
     return float(_grid_energies(
-        ref_l1, tgt_l1, points.at_level(1), points.depths,
-        pose.rotation[None], pose.translation[None], intrinsics.at_level(1),
+        _level_inputs(ref_l1, points.at_level(1), points.depths, k1), tgt_l1,
+        pose.rotation[None], np.zeros(1, dtype=np.intp), pose.translation[None], k1,
         lm_config or LMConfig(),
     )[0])
 
 
+def _mean_huber(norms: np.ndarray, n_valid: np.ndarray, lm_config: LMConfig) -> np.ndarray:
+    """Huber sum of each (m, k) row of norms over its row's valid-point
+    count; infinite where fewer than ``min_valid_points`` are valid."""
+    energies = np.full(norms.shape[0], np.inf)
+    enough = n_valid >= lm_config.min_valid_points
+    energies[enough] = _huber(norms[enough], lm_config.huber_gamma).sum(axis=1) / n_valid[enough]
+    return energies
+
+
 def _grid_energies(
-    ref_l1: FeatureMap,
+    level: _LevelInputs,
     tgt_l1: FeatureMap,
-    uv1: np.ndarray,
-    depths: np.ndarray,
     rotations: np.ndarray,
+    rot_index: np.ndarray,
     translations: np.ndarray,
     k1: CameraIntrinsics,
     lm_config: LMConfig,
 ) -> np.ndarray:
-    """Mean per-valid-point Huber energy of (m, 3, 3) + (m, 3) poses, one
-    per row, at the coarsest level.
+    """Mean per-valid-point Huber energy at the coarsest level of the rows
+    whose poses are ``rotations[rot_index[i]], translations[i]``.
 
-    Every row goes through the solver's residual kernel with the solver's
-    Huber gamma and warp margin. A row is infinite when fewer than
+    Every row goes through the solver's residual kernel core with the
+    solver's Huber gamma and warp margin. A row is infinite when fewer than
     ``lm_config.min_valid_points`` survive the warp, so a candidate cannot
     win by throwing points away. Rows are summed with their invalid (zero)
     entries in place, so an energy can differ from the serial
     ``compute_residuals(...).energy / n_valid`` in the last bits.
 
-    The level inputs are built once and the kernel runs over blocks of
-    ``_GRID_BLOCK`` rows. Each row's energy depends on that row alone, so
-    the blocks give the same bits as one call over every row, while peak
-    memory scales with block x points instead of candidates x points.
+    This is ``_grid_bounds`` sampling every point, where the bound is the
+    energy. Each row's energy depends on that row alone, so any subset of
+    the rows, in any blocks, gives the same bits as one kernel call over
+    every row.
     """
-    level = _level_inputs(ref_l1, uv1, depths, k1)
-    energies = np.full(rotations.shape[0], np.inf)
-    for start in range(0, rotations.shape[0], _GRID_BLOCK):
+    return _grid_bounds(level, tgt_l1, rotations, rot_index, translations, k1, lm_config, 1)[0]
+
+
+def _grid_bounds(
+    level: _LevelInputs,
+    tgt_l1: FeatureMap,
+    rotations: np.ndarray,
+    rot_index: np.ndarray,
+    translations: np.ndarray,
+    k1: CameraIntrinsics,
+    lm_config: LMConfig,
+    stride: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower bounds of ``_grid_energies``, and estimates of it, for the rows
+    whose poses are ``rotations[rot_index[i]], translations[i]``.
+
+    The rows run in blocks of ``_GRID_BLOCK``, so peak memory scales with
+    block x points. Each block turns the level's points once per distinct
+    rotation it uses and projects them as x, y and z planes. Every row
+    projects all its points, so its valid-point count is the exact one, but
+    samples only every ``stride``-th point.
+    - The bound is the Huber sum over the sampled points divided by the
+      full count. Each sampled term is the same float as in the exact
+      energy, since it comes from the same coordinates, so the bound can
+      exceed the energy only by the rounding of a shorter sum
+      (``_BOUND_SLACK``). A row with fewer than ``min_valid_points`` valid
+      points is infinite, as its energy is.
+    - The estimate is the same sum over the count of valid sampled points
+      (infinite when there are none): a guess at the energy that, unlike
+      the bound, does not favour rows that lose points.
+    """
+    # A point outside the reference mask is invalid in every row.
+    usable = (level.points[:, 2] > 0.0) & level.in_ref
+    ref_vals = level.ref_vals[::stride]
+    bounds = np.empty(rot_index.shape[0])
+    estimates = np.empty(rot_index.shape[0])
+    for start in range(0, rot_index.shape[0], _GRID_BLOCK):
         rows = slice(start, start + _GRID_BLOCK)
-        _, norms, valid, _, _, _ = _residuals_batched(
-            level, tgt_l1, rotations[rows], translations[rows], k1, lm_config.margin
+        turns, turn_of_row = np.unique(rot_index[rows], return_inverse=True)
+        planes = (level.points @ rotations[turns].transpose(0, 2, 1)).transpose(2, 0, 1)
+        t = translations[rows]
+        x, y, z = (np.take(planes[c], turn_of_row, axis=0) + t[:, c, None] for c in range(3))
+        u, v, valid = _project_planes(usable, x, y, z, k1, lm_config.margin)
+        sampled = valid[:, ::stride]
+        warped = np.stack([u[:, ::stride], v[:, ::stride]], axis=-1)
+        norms = _valid_norms(ref_vals, tgt_l1, warped, sampled, k1)
+        n_valid = np.count_nonzero(valid, axis=1)
+        n_sampled = np.count_nonzero(sampled, axis=1)
+        bounds[rows] = _mean_huber(norms, n_valid, lm_config)
+        with np.errstate(invalid="ignore"):  # inf * 0 in the branch np.where drops
+            estimates[rows] = np.where(
+                n_sampled > 0, bounds[rows] * n_valid / np.maximum(n_sampled, 1), np.inf
+            )
+    return bounds, estimates
+
+
+def _best_row(
+    level: _LevelInputs,
+    tgt_l1: FeatureMap,
+    rotations: np.ndarray,
+    rot_index: np.ndarray,
+    translations: np.ndarray,
+    k1: CameraIntrinsics,
+    lm_config: LMConfig,
+) -> int:
+    """The row ``np.argmin`` picks from ``_grid_energies`` over every row,
+    where row i is the pose ``rotations[rot_index[i]], translations[i]``.
+
+    Only the rows that can still win are scored in full. For each stride
+    in ``_BOUND_STRIDES``, coarse to fine:
+    1. every row still alive gets a bound and an estimate from every
+       stride-th point (``_grid_bounds``);
+    2. the ``_FIRST_EXACT`` rows with the lowest estimates, plus row 0 in
+       the first round, are scored exactly, and the lowest energy so far,
+       plus ``_BOUND_SLACK``, is the cut;
+    3. rows whose bound exceeds the cut are dropped, and so are rows after
+       the best one so far whose bound equals it.
+    The rows left at the end are scored exactly. The first row with the
+    minimum energy is never dropped, so the first minimum in row order is
+    the full grid's, bit for bit. A row with an infinite bound is infinite
+    too and can win only when every row is, and then row 0 does.
+    """
+    energies = np.full(rot_index.shape[0], np.inf)
+    alive = np.ones(rot_index.shape[0], dtype=bool)
+
+    def score(rows):
+        energies[rows] = _grid_energies(
+            level, tgt_l1, rotations, rot_index[rows], translations[rows], k1, lm_config
         )
-        n_valid = valid.sum(axis=1)
-        enough = n_valid >= lm_config.min_valid_points
-        block = energies[rows]  # a view: writes land in ``energies``
-        block[enough] = _huber(norms[enough], lm_config.huber_gamma).sum(axis=1) / n_valid[enough]
-    return energies
+        alive[rows] = False
+
+    for round_, stride in enumerate(_BOUND_STRIDES):
+        rows = np.flatnonzero(alive)
+        if not rows.size:
+            break
+        bounds, estimates = _grid_bounds(
+            level, tgt_l1, rotations, rot_index[rows], translations[rows], k1, lm_config, stride
+        )
+        promising = rows
+        if rows.size > _FIRST_EXACT:
+            promising = rows[np.argpartition(estimates, _FIRST_EXACT)[:_FIRST_EXACT]]
+        # Identity joins the first batch, so the cut never lies above its energy.
+        score(np.union1d(promising, [0]) if round_ == 0 else promising)
+        best = int(np.argmin(energies))
+        cut = energies[best] * (1.0 + _BOUND_SLACK)
+        # A bound at the cut means an energy of at least the best one, which
+        # only a row ahead of the best can tie and win: on flat features
+        # every energy is 0 and this drops all the other rows at once.
+        alive[rows] &= np.isfinite(bounds) & (
+            (bounds < cut) | ((bounds == cut) & (rows < best))
+        )
+    rows = np.flatnonzero(alive)
+    if rows.size:
+        score(rows)
+    return int(np.argmin(energies))
 
 
 def corr_pose_init(
@@ -186,12 +331,13 @@ def corr_pose_init(
     The median coarse-level correlation flow lifts to a translation guess
     (sideways displacement at the median point depth); yaw/pitch angles
     and per-axis translation offsets around that guess form the candidate
-    grid. The identity pose and the grid are scored in one
-    ``_grid_energies`` call with ``lm_config``'s energy settings (the
-    solver defaults when None), and the lowest energy wins. Identity is
-    row 0 and ``argmin`` takes the first of equal minima, so a grid pose
-    is returned only when it strictly beats identity, and identity when
-    no candidate keeps ``min_valid_points``. Degenerate inputs (too-large
+    grid. ``_best_row`` finds the row of the identity pose plus the grid
+    with the lowest energy under ``lm_config``'s energy settings (the
+    solver defaults when None), exactly as ``np.argmin`` over
+    ``_grid_energies`` of every row would. Identity is row 0 and the first
+    of equal minima wins, so a grid pose is returned only when it strictly
+    beats identity, and identity when no candidate keeps
+    ``min_valid_points``. Degenerate inputs (too-large
     maps, too few points) fall back to identity rather than raising.
     """
     config = config or InitConfig()
@@ -237,11 +383,11 @@ def corr_pose_init(
     ox, oy, oz = np.meshgrid(offsets, offsets, offsets, indexing="ij")
     t_off = np.stack([ox.ravel(), oy.ravel(), oz.ravel()], axis=1)
 
-    rotations = np.concatenate([np.eye(3)[None], np.repeat(rot_ang, t_off.shape[0], axis=0)])
+    # Row 0 is identity; row 1 + a * len(t_off) + o turns by rot_ang[a] and
+    # moves by t_seed + t_off[o].
+    rotations = np.concatenate([np.eye(3)[None], rot_ang])
+    rot_index = np.concatenate([[0], np.repeat(np.arange(1, n_ang + 1), t_off.shape[0])])
     translations = np.concatenate([np.zeros((1, 3)), t_seed + np.tile(t_off, (n_ang, 1))])
-    energies = _grid_energies(
-        ref_l1, tgt_l1, points.at_level(1), points.depths,
-        rotations, translations, k1, lm_config,
-    )
-    best = int(np.argmin(energies))
-    return SE3Pose(rotation=rotations[best], translation=translations[best])
+    level = _level_inputs(ref_l1, points.at_level(1), points.depths, k1)
+    best = _best_row(level, tgt_l1, rotations, rot_index, translations, k1, lm_config)
+    return SE3Pose(rotation=rotations[rot_index[best]], translation=translations[best])

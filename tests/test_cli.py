@@ -98,6 +98,19 @@ class TestAlign:
         assert code == EXIT_ERROR
         assert "mutually exclusive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("init", ["identity", "corr"])
+    def test_intrinsics_larger_than_maps_exit_1(self, dataset, tmp_path, capsys, init):
+        args, _ = pair_args(dataset)
+        k = args.index("--intrinsics") + 1
+        with open(args[k]) as handle:
+            text = handle.read()
+        assert "width = 128" in text
+        wide = tmp_path / "intrinsics.txt"
+        wide.write_text(text.replace("width = 128", "width = 160"))
+        args[k] = str(wide)
+        assert main(["align", *args, "--init", init]) == EXIT_ERROR
+        assert "smaller than the" in capsys.readouterr().err
+
     def test_missing_file_exits_1(self, capsys):
         code = main(
             ["align", "--ref", "no.fmap", "--target", "no.fmap",
@@ -290,6 +303,17 @@ class TestBenchmark:
                      "--init-config", str(cfg)])
         assert code == EXIT_ERROR
         assert f"error: {key} must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("margin", ["0.5", "0", "-3"])
+    def test_margin_below_sampling_margin_exits_1(self, dataset, tmp_path, capsys, margin):
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text(f"margin = {margin}\n")
+        manifest = os.path.join(dataset, "manifest.json")
+        code = main(["benchmark", "--manifest", manifest, "--init", "corr",
+                     "--config", str(cfg), "--out-json", str(tmp_path / "rep.json")])
+        assert code == EXIT_ERROR
+        assert "error: margin must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "rep.json").exists()
 
     def test_missing_manifest_exits_1(self, capsys):
         assert main(["benchmark", "--manifest", "nowhere.json"]) == EXIT_ERROR

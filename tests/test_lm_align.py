@@ -9,7 +9,12 @@ import math
 import numpy as np
 import pytest
 
-from featalign.feature_maps import FeatureMap, FeaturePyramid, build_baseline_pyramid
+from featalign.feature_maps import (
+    FeatureMap,
+    FeaturePyramid,
+    SampleOutOfBoundsError,
+    build_baseline_pyramid,
+)
 from featalign.geometry import CameraIntrinsics, SE3Pose, boxplus, se3_exp
 from featalign.lm_align import (
     AlignmentError,
@@ -21,6 +26,7 @@ from featalign.lm_align import (
     _level_inputs,
     _residuals_batched,
     _stencil_jacobian,
+    _valid_norms,
     align_coarse_to_fine,
     align_level,
     build_normal_equations,
@@ -192,6 +198,48 @@ class TestPerLevelKernel:
             assert stacked[5].corners[rows].tobytes() == want.stencil.corners.tobytes()
             offset += want.n_valid
         assert offset == len(stacked[5].corners)
+
+    def test_norms_core_matches_full_kernel(self):
+        ref, tgt, uv, depths, poses = self._scene()
+        k = _K64()
+        level = _level_inputs(ref, uv, depths, k)
+        rotations = np.stack([p.rotation for p in poses])
+        translations = np.stack([p.translation for p in poses])
+        _, norms, valid, warped, _, _ = _residuals_batched(
+            level, tgt, rotations, translations, k, 3.0
+        )
+        core = _valid_norms(level.ref_vals, tgt, warped, valid, k)
+        assert core.tobytes() == norms.tobytes()
+
+    @pytest.mark.parametrize("extent", [(65, 64), (64, 65), (80, 80)])
+    def test_target_smaller_than_intrinsics_raises(self, extent):
+        # Valid pixels are sampled without a margin test, which is only
+        # safe on a target map that covers the intrinsics' image.
+        ref, tgt, uv, depths, poses = self._scene()
+        wide = CameraIntrinsics(
+            fx=64.0, fy=64.0, cx=32.0, cy=32.0, width=extent[0], height=extent[1]
+        )
+        with pytest.raises(SampleOutOfBoundsError, match="smaller than the"):
+            compute_residuals(ref, tgt, uv, depths, poses[1], wide)
+        with pytest.raises(SampleOutOfBoundsError, match="smaller than the"):
+            _valid_norms(np.zeros((len(uv), 2)), tgt, np.zeros((1, len(uv), 2)),
+                         np.zeros((1, len(uv)), dtype=bool), wide)
+        # A map larger than the image is sampled as before.
+        big = FeatureMap(np.pad(tgt.values, ((0, 16), (0, 16), (0, 0))))
+        want = compute_residuals(ref, tgt, uv, depths, poses[1], _K64())
+        got = compute_residuals(ref, big, uv, depths, poses[1], _K64())
+        assert got.residuals.tobytes() == want.residuals.tobytes()
+
+    @pytest.mark.parametrize("margin", [0.999, 0.0, -3.0])
+    def test_one_pose_functions_refuse_margin_below_sampling_margin(self, margin):
+        ref, tgt, uv, depths, poses = self._scene()
+        k = _K64()
+        with pytest.raises(AlignmentError, match="margin must be at least 1"):
+            compute_residuals(ref, tgt, uv, depths, poses[0], k, margin=margin)
+        with pytest.raises(AlignmentError, match="margin must be at least 1"):
+            compute_jacobian(tgt, uv, depths, poses[0], k, margin=margin)
+        assert compute_residuals(ref, tgt, uv, depths, poses[0], k, margin=1.0).n_valid > 0
+        assert compute_jacobian(tgt, uv, depths, poses[0], k, margin=1.0)[1].any()
 
     def test_stencil_jacobian_matches_compute_jacobian(self):
         ref, tgt, uv, depths, poses = self._scene()
@@ -433,6 +481,12 @@ class TestConfigAndPoints:
     def test_config_rejects_unknown_damping(self):
         with pytest.raises(AlignmentError):
             LMConfig(damping="cauchy")
+
+    @pytest.mark.parametrize("margin", [0.999, 0.5, 0.0, -3.0, math.nan])
+    def test_config_rejects_margin_below_sampling_margin(self, margin):
+        with pytest.raises(AlignmentError, match="margin must be at least 1"):
+            LMConfig(margin=margin)
+        assert LMConfig(margin=1.0).margin == 1.0
 
     def test_config_from_mapping(self):
         cfg = LMConfig.from_mapping(

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from featalign.feature_maps import FeatureMap
-from featalign.geometry import SE3Pose, se3_exp
+from featalign.feature_maps import FeatureMap, FeaturePyramid, SampleOutOfBoundsError
+from featalign.geometry import CameraIntrinsics, SE3Pose, se3_exp
 from featalign import pose_init
 from featalign.lm_align import (
     LMConfig,
@@ -26,7 +28,14 @@ from featalign.pose_init import (
     correlation_map,
     median_correlation_flow,
 )
-from featalign.synth import SceneConfig, build_pair, generate_scene, mean_flow, sample_pose_perturbation
+from featalign.synth import (
+    SceneConfig,
+    SynthError,
+    build_pair,
+    generate_scene,
+    mean_flow,
+    sample_pose_perturbation,
+)
 
 
 def unit_vector_map(h, w, d, seed):
@@ -126,12 +135,9 @@ class TestCandidateEnergy:
             [6.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # none valid
         ]
         poses = [se3_exp(np.asarray(t, dtype=np.float64)) for t in twists]
-        vec = _grid_energies(
-            pair.ref_pyramid.level(1), pair.tgt_pyramid.level(1),
-            pair.points.at_level(1), pair.points.depths,
-            np.array([p.rotation for p in poses]),
-            np.array([p.translation for p in poses]),
-            pair.intrinsics.at_level(1), LMConfig(),
+        vec = grid_energies(
+            pair, np.array([p.rotation for p in poses]), np.arange(len(poses)),
+            np.array([p.translation for p in poses]), LMConfig(),
         )
         assert vec.shape == (len(poses),)
         for i, pose in enumerate(poses):
@@ -181,14 +187,25 @@ class TestCandidateEnergy:
         assert math.isinf(candidate_energy(*level1_args(pair), pose, LMConfig(min_valid_points=n + 1)))
 
 
-def one_shot_energies(pair, rotations, translations, lm_config):
-    """The grid energies from one kernel call over every row."""
-    level = _level_inputs(
+def level1_inputs(pair):
+    return _level_inputs(
         pair.ref_pyramid.level(1), pair.points.at_level(1), pair.points.depths,
         pair.intrinsics.at_level(1),
     )
+
+
+def grid_energies(pair, rotations, rot_index, translations, lm_config):
+    """``_grid_energies`` of a pair's coarsest level."""
+    return _grid_energies(
+        level1_inputs(pair), pair.tgt_pyramid.level(1), rotations, rot_index, translations,
+        pair.intrinsics.at_level(1), lm_config,
+    )
+
+
+def one_shot_energies(pair, rotations, translations, lm_config):
+    """The grid energies from one full-kernel call over every row."""
     _, norms, valid, _, _, _ = _residuals_batched(
-        level, pair.tgt_pyramid.level(1), rotations, translations,
+        level1_inputs(pair), pair.tgt_pyramid.level(1), rotations, translations,
         pair.intrinsics.at_level(1), lm_config.margin,
     )
     n_valid = valid.sum(axis=1)
@@ -217,24 +234,121 @@ class TestGridBlocks:
         expected = one_shot_energies(large_pair, rotations, translations, lm)
 
         rows = []
-        real = pose_init._residuals_batched
+        real = pose_init._valid_norms
 
-        def recording(level, tgt, rot, trans, *rest):
-            rows.append(rot.shape[0])
-            return real(level, tgt, rot, trans, *rest)
+        def recording(ref_vals, tgt, warped, *rest):
+            rows.append(warped.shape[0])
+            return real(ref_vals, tgt, warped, *rest)
 
-        monkeypatch.setattr(pose_init, "_residuals_batched", recording)
-        pair = large_pair
-        energies = _grid_energies(
-            pair.ref_pyramid.level(1), pair.tgt_pyramid.level(1),
-            pair.points.at_level(1), pair.points.depths,
-            rotations, translations, pair.intrinsics.at_level(1), lm,
-        )
+        monkeypatch.setattr(pose_init, "_valid_norms", recording)
+        energies = grid_energies(large_pair, rotations, np.arange(m), translations, lm)
         assert energies.tobytes() == expected.tobytes()
         assert rows == [block] * (m // block) + ([m % block] if m % block else [])
         if m > 5:
             assert np.isinf(energies).sum() == len(twists[3::7]) + len(twists[5::7])
         assert np.isfinite(energies).any()
+
+
+def flat_pyramid(pyramid):
+    return FeaturePyramid([FeatureMap(np.zeros(m.values.shape)) for m in pyramid.levels])
+
+
+def bounded_case(kind, magnitude_class, seed):
+    """One seed-search input: a synthetic pair, or a degenerate variant of it."""
+    rng = np.random.default_rng(seed)
+    try:
+        scene = generate_scene(rng, SceneConfig(), seed=seed)
+        pose = sample_pose_perturbation(rng, magnitude_class, scene)
+        pair = build_pair(scene, pose, rng, magnitude_class=magnitude_class, seed=seed)
+    except SynthError:
+        assume(False)
+    ref, tgt, points = pair.ref_pyramid, pair.tgt_pyramid, pair.points
+    init, lm = InitConfig(), LMConfig()
+    if kind == "flat":
+        ref = tgt = flat_pyramid(ref)
+    elif kind == "flat_target":
+        tgt = flat_pyramid(tgt)
+    elif kind == "few_points":  # many rows keep fewer than min_valid_points
+        points = SparsePointSet(uv=points.uv[:9], depths=points.depths[:9])
+    elif kind == "all_points_needed":
+        lm = LMConfig(min_valid_points=len(points))
+    elif kind == "zero_ranges":
+        init = InitConfig(yaw_range_deg=0.0, pitch_range_deg=0.0, t_range=0.0, t_steps=1)
+    return ref, tgt, points, pair.intrinsics, init, lm
+
+
+class TestBoundedSearch:
+    def test_shared_rotations_match_the_one_shot_kernel(self, large_pair):
+        # Rows that share a rotation are turned once per block; their
+        # energies are still those of one full-kernel call over every row.
+        rng = np.random.default_rng(3)
+        poses = [se3_exp(t) for t in rng.uniform(-0.15, 0.15, size=(40, 6))]
+        poses += [se3_exp(np.array([4.0, 0.0, 0.0, 0.0, 0.0, 0.0]))]  # fewer than 8 valid
+        rotations = np.array([p.rotation for p in poses])
+        translations = np.array([p.translation for p in poses])
+        rot_index = rng.integers(0, len(poses), size=700)
+        lm = LMConfig()
+        expected = one_shot_energies(
+            large_pair, rotations[rot_index], translations[rot_index], lm
+        )
+        exact = grid_energies(large_pair, rotations, rot_index, translations[rot_index], lm)
+        assert np.isinf(exact).any() and np.isfinite(exact).any()
+        assert exact.tobytes() == expected.tobytes()
+
+    def test_flat_features_score_only_the_first_batch(self, large_pair, monkeypatch):
+        # Every energy is 0: the rows after identity tie it and cannot win.
+        pair = large_pair
+        flat = flat_pyramid(pair.ref_pyramid)
+        rows = []
+        real = pose_init._grid_energies
+
+        def recording(*args):
+            rows.append(args[3].shape[0])
+            return real(*args)
+
+        monkeypatch.setattr(pose_init, "_grid_energies", recording)
+        pose = corr_pose_init(flat, flat, pair.points, pair.intrinsics)
+        assert rows == [1 + pose_init._FIRST_EXACT]
+        np.testing.assert_array_equal(pose.rotation, np.eye(3))
+        np.testing.assert_array_equal(pose.translation, np.zeros(3))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @example(kind="pair", magnitude_class="small", seed=7000)
+    @example(kind="pair", magnitude_class="medium", seed=7001)
+    @example(kind="pair", magnitude_class="large", seed=7002)
+    @given(
+        kind=st.sampled_from(
+            ["pair", "flat", "flat_target", "few_points", "all_points_needed", "zero_ranges"]
+        ),
+        magnitude_class=st.sampled_from(["small", "medium", "large"]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_bounds_hold_and_the_search_returns_the_full_grid_argmin(
+        self, kind, magnitude_class, seed
+    ):
+        ref, tgt, points, intrinsics, init, lm = bounded_case(kind, magnitude_class, seed)
+        calls = []
+        real = pose_init._best_row
+
+        def recording(*args):
+            calls.append((args, real(*args)))
+            return calls[-1][1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pose_init, "_best_row", recording)
+            pose = corr_pose_init(ref, tgt, points, intrinsics, init, lm)
+        args, row = calls[0]
+        exact = _grid_energies(*args)
+        assert row == int(np.argmin(exact))
+        rotations, rot_index, translations = args[2:5]
+        np.testing.assert_array_equal(pose.rotation, rotations[rot_index[row]])
+        np.testing.assert_array_equal(pose.translation, translations[row])
+
+        finite = np.isfinite(exact)
+        for stride in pose_init._BOUND_STRIDES:
+            bounds, _ = pose_init._grid_bounds(*args, stride)
+            np.testing.assert_array_equal(np.isfinite(bounds), finite)
+            assert np.all(bounds[finite] <= exact[finite] * (1.0 + 1e-9))
 
 
 class TestCorrPoseInit:
@@ -289,32 +403,33 @@ class TestCorrPoseInit:
     def test_one_scorer_call_with_identity_first_and_solver_settings(self, large_pair, monkeypatch):
         pair = large_pair
         calls = []
-        real = pose_init._grid_energies
+        real = pose_init._best_row
 
         def recording(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(pose_init, "_grid_energies", recording)
+        monkeypatch.setattr(pose_init, "_best_row", recording)
         lm = LMConfig(huber_gamma=0.05, min_valid_points=6, margin=3.0)
         corr_pose_init(pair.ref_pyramid, pair.tgt_pyramid, pair.points, pair.intrinsics, lm_config=lm)
         assert len(calls) == 1
-        rotations, translations, lm_config = calls[0][4], calls[0][5], calls[0][7]
-        assert rotations.shape == (1 + 81 * 125, 3, 3)
-        np.testing.assert_array_equal(rotations[0], np.eye(3))
+        rotations, rot_index, translations, _, lm_config = calls[0][2:]
+        assert rot_index.shape == (1 + 81 * 125,) and translations.shape == (1 + 81 * 125, 3)
+        assert rotations.shape == (1 + 81, 3, 3)
+        np.testing.assert_array_equal(rotations[rot_index[0]], np.eye(3))
         np.testing.assert_array_equal(translations[0], np.zeros(3))
         assert lm_config is lm
 
     def test_zero_ranges_score_identity_and_the_flow_seed(self, large_pair, monkeypatch):
         pair = large_pair
         rows = []
-        real = pose_init._grid_energies
+        real = pose_init._best_row
 
         def recording(*args):
-            rows.append(args[4].shape[0])
+            rows.append(args[3].shape[0])
             return real(*args)
 
-        monkeypatch.setattr(pose_init, "_grid_energies", recording)
+        monkeypatch.setattr(pose_init, "_best_row", recording)
         cfg = InitConfig(yaw_range_deg=0.0, pitch_range_deg=0.0, t_range=0.0, t_steps=1)
         corr_pose_init(pair.ref_pyramid, pair.tgt_pyramid, pair.points, pair.intrinsics, cfg)
         assert rows == [2]
@@ -325,20 +440,40 @@ class TestCorrPoseInit:
         real = pose_init._grid_energies
         picked = []
 
-        def tied(*args):
-            energies = real(*args)
-            best = 1 + int(np.argmin(energies[1:]))
-            picked.append(SE3Pose(args[4][best], args[5][best]))
-            # identity equal to the best grid pose, or one ulp above it
-            energies[0] = energies[best] if identity_ahead else np.nextafter(energies[best], np.inf)
+        def tied(level, tgt, rotations, rot_index, translations, *rest):
+            energies = real(level, tgt, rotations, rot_index, translations, *rest)
+            if not picked:
+                # The search's first call scores identity first, with the
+                # best grid pose's energy or one ulp above it.
+                assert rot_index[0] == 0 and not translations[0].any()
+                everything = real(level, tgt, rotations, *searched, *rest)
+                best = 1 + int(np.argmin(everything[1:]))
+                picked.append(SE3Pose(rotations[searched[0][best]], searched[1][best]))
+                top = everything[best]
+                energies[0] = top if identity_ahead else np.nextafter(top, np.inf)
             return energies
 
+        searched = []
+        real_search = pose_init._best_row
+
+        def search(level, tgt, rotations, rot_index, translations, *rest):
+            searched.extend([rot_index, translations])
+            return real_search(level, tgt, rotations, rot_index, translations, *rest)
+
         monkeypatch.setattr(pose_init, "_grid_energies", tied)
+        monkeypatch.setattr(pose_init, "_best_row", search)
         pose = corr_pose_init(pair.ref_pyramid, pair.tgt_pyramid, pair.points, pair.intrinsics)
         expected = SE3Pose.identity() if identity_ahead else picked[0]
         assert np.any(picked[0].translation != 0.0)
         np.testing.assert_array_equal(pose.rotation, expected.rotation)
         np.testing.assert_array_equal(pose.translation, expected.translation)
+
+    def test_target_smaller_than_intrinsics_raises(self, large_pair):
+        pair = large_pair
+        k = pair.intrinsics
+        wide = CameraIntrinsics(k.fx, k.fy, k.cx, k.cy, k.width + 16, k.height)
+        with pytest.raises(SampleOutOfBoundsError, match="smaller than the"):
+            corr_pose_init(pair.ref_pyramid, pair.tgt_pyramid, pair.points, wide)
 
     def test_too_few_points_fall_back_to_identity(self, large_pair):
         pair = large_pair
@@ -364,6 +499,18 @@ class TestInitConfig:
         assert cfg.yaw_range_deg == 3.0
         assert cfg.t_steps == 3
         assert cfg.pitch_range_deg == 6.0
+
+    def test_grid_rows_capped(self):
+        # 81 * 81 * 125 + 1 = 820,126 rows are allowed, 121 * 121 * 125 + 1 are not.
+        InitConfig(yaw_step_deg=0.15, pitch_step_deg=0.15)
+        with pytest.raises(InitError, match="more than 1e\\+06"):
+            InitConfig(yaw_step_deg=0.1, pitch_step_deg=0.1)
+        with pytest.raises(InitError, match="1.8e\\+08 rows"):
+            InitConfig(yaw_step_deg=0.01, pitch_step_deg=0.01)
+        with pytest.raises(InitError):
+            InitConfig(t_steps=201)
+        with pytest.raises(InitError):
+            InitConfig.from_mapping({"yaw_step_deg": "0.01", "pitch_step_deg": "0.01"})
 
     @pytest.mark.parametrize("key", ["huber_gamma", "min_valid_points"])
     def test_solver_energy_keys_are_not_init_keys(self, key):
