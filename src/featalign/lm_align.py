@@ -13,7 +13,8 @@ rejected one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +34,7 @@ from .geometry import (
     CameraIntrinsics,
     SE3Pose,
     _project_batch,
+    _project_planes,
     _unproject,
     boxplus,
     pose_twist_jacobian,
@@ -134,11 +136,23 @@ class LMConfig:
             raise AlignmentError("lambda_init must be non-negative")
         if self.huber_gamma <= 0.0:
             raise AlignmentError("huber_gamma must be positive")
+        # Written as `not x >= bound` so that NaN fails them too.
+        if not self.max_iters_per_level >= 1:
+            raise AlignmentError("max_iters_per_level must be at least 1")
+        if not self.step_norm_eps >= 0.0:
+            raise AlignmentError("step_norm_eps must be non-negative")
+        # With no valid point a level ends on a zero step, "converged".
+        if not self.min_valid_points >= 1:
+            raise AlignmentError("min_valid_points must be at least 1")
         if not self.levels or any(l not in (1, 2, 3, 4) for l in self.levels):
             raise AlignmentError(f"levels must be drawn from 1..4, got {self.levels}")
         if list(self.levels) != sorted(self.levels):
             raise AlignmentError("levels must be ascending (coarse to fine)")
         _check_margin(self.margin)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
+                raise AlignmentError(f"{f.name} must be finite, got {value}")
 
     @classmethod
     def from_mapping(cls, mapping) -> "LMConfig":
@@ -196,6 +210,7 @@ class _LevelInputs(NamedTuple):
     points: np.ndarray  # (n, 3) reference-frame points
     in_ref: np.ndarray  # (n,) bool, sampleable in the reference map
     ref_vals: np.ndarray  # (n, D) reference samples, zero where not in_ref
+    usable: np.ndarray  # (n,) bool, in_ref with a positive depth: may be valid at all
 
 
 def _level_inputs(
@@ -206,7 +221,7 @@ def _level_inputs(
     in_ref = in_margins(uv, ref.width, ref.height, SAMPLE_MARGIN)
     ref_vals = np.zeros((uv.shape[0], ref.channels))
     ref_vals[in_ref] = gather_stencil(ref, uv[in_ref]).values()
-    return _LevelInputs(points, in_ref, ref_vals)
+    return _LevelInputs(points, in_ref, ref_vals, in_ref & (points[:, 2] > 0.0))
 
 
 def _sample_valid(
@@ -274,17 +289,40 @@ def _residuals_batched(
     return residuals, norms, valid, warped, transformed, stencil
 
 
+class _ValidEval(NamedTuple):
+    """Residuals of one level at one pose over its k valid points only."""
+
+    ids: np.ndarray  # (k,) ascending indices of the valid points
+    stencil: Stencil  # their target samples
+    residuals: np.ndarray  # (k, D)
+    norms: np.ndarray  # (k,)
+    transformed: np.ndarray  # (k, 3) target-frame points
+    energy: float
+
+    @property
+    def n_valid(self) -> int:
+        return self.ids.size
+
+
 def _evaluate(
     level: _LevelInputs, tgt: FeatureMap, pose: SE3Pose, intrinsics: CameraIntrinsics,
     huber_gamma: float, margin: float,
-) -> ResidualEval:
-    """The kernel at one pose, as compute_residuals returns it."""
-    residuals, norms, valid, warped, transformed, stencil = _residuals_batched(
-        level, tgt, pose.rotation[None], pose.translation[None], intrinsics, margin
+) -> _ValidEval:
+    """The kernel at one pose, kept to the valid points: the rows of
+    ``compute_residuals`` whose mask is set, bit for bit, without the
+    zero-padded (n, ...) arrays the solver would only skip again."""
+    transformed = level.points @ pose.rotation.T + pose.translation
+    u, v, valid = _project_planes(
+        level.usable, transformed[:, 0], transformed[:, 1], transformed[:, 2], intrinsics, margin
     )
-    valid, norms = valid[0], norms[0]
-    energy = huber_energy(norms[valid], huber_gamma)
-    return ResidualEval(residuals[0], valid, norms, energy, warped[0], transformed[0], stencil)
+    ids, stencil, res = _sample_valid(
+        level.ref_vals, tgt, np.stack([u, v], axis=-1), valid[None], intrinsics
+    )
+    norms = np.linalg.norm(res, axis=1)
+    return _ValidEval(
+        ids, stencil, res, norms, np.take(transformed, ids, axis=0),
+        huber_energy(norms, huber_gamma),
+    )
 
 
 def compute_residuals(
@@ -303,13 +341,18 @@ def compute_residuals(
     warp leaves the margins, falls behind the camera, or whose own
     coordinates cannot be sampled in the reference are marked invalid and
     contribute nothing. This is the one-pose case of the kernel the seed
-    grid search scores its candidates with and the solver iterates.
+    grid search scores its candidates with; the solver iterates its valid
+    rows.
     ``margin`` must be at least ``SAMPLE_MARGIN``.
     """
     _check_margin(margin)
-    return _evaluate(
-        _level_inputs(ref, uv, depths, intrinsics), tgt, pose, intrinsics, huber_gamma, margin
+    residuals, norms, valid, warped, transformed, stencil = _residuals_batched(
+        _level_inputs(ref, uv, depths, intrinsics), tgt,
+        pose.rotation[None], pose.translation[None], intrinsics, margin,
     )
+    valid, norms = valid[0], norms[0]
+    energy = huber_energy(norms[valid], huber_gamma)
+    return ResidualEval(residuals[0], valid, norms, energy, warped[0], transformed[0], stencil)
 
 
 def _stencil_jacobian(
@@ -497,17 +540,20 @@ def align_level(
     """Run damped Gauss-Newton iterations on a single pyramid level.
 
     ``uv`` must be in this level's coordinates. The reference samples and
-    the unprojected points are computed once; the Jacobian reuses the
-    target stencil the residuals were sampled with. The system is rebuilt
-    only after an accepted step; rejected steps reuse it with a larger
-    damping factor, which is equivalent to rebuilding at the unchanged pose.
+    the unprojected points are computed once. Each pose is evaluated over
+    its valid points only (``_evaluate``): the Jacobian reuses the target
+    stencil the residuals were sampled with, and the Huber weights and the
+    normal equations run over those k rows, which gives the same bits as
+    the zero-padded n rows would. The system is rebuilt only after an
+    accepted step; rejected steps reuse it with a larger damping factor,
+    which is equivalent to rebuilding at the unchanged pose.
     """
     inputs = _level_inputs(ref, uv, depths, intrinsics)
     stats = LevelStats(level=level, n_points=inputs.points.shape[0])
     pose = init_pose
     lam = config.lambda_init
 
-    def evaluate(at: SE3Pose) -> ResidualEval:
+    def evaluate(at: SE3Pose) -> _ValidEval:
         return _evaluate(inputs, tgt, at, intrinsics, config.huber_gamma, config.margin)
 
     current = evaluate(pose)
@@ -528,11 +574,8 @@ def align_level(
             stats.termination = "lambda_cap"
             break
         if not system_fresh:
-            jac = np.zeros(current.residuals.shape + (6,))
-            jac[current.valid] = _stencil_jacobian(
-                current.stencil, current.transformed[current.valid], intrinsics
-            )
-            weights = huber_weights(current.norms, config.huber_gamma) * current.valid
+            jac = _stencil_jacobian(current.stencil, current.transformed, intrinsics)
+            weights = huber_weights(current.norms, config.huber_gamma)
             h, b = build_normal_equations(jac, current.residuals, weights)
             system_fresh = True
 

@@ -11,8 +11,9 @@ at all. One scorer, ``_grid_energies``, defines a candidate's energy with
 the Huber gamma, minimum valid-point count and warp margin of the solver's
 ``LMConfig``, so the seed minimizes the energy the solver then minimizes.
 ``_best_row`` finds the grid's lowest-energy row bit for bit while scoring
-only the few rows that lower bounds from a subset of the points cannot
-rule out.
+only the few rows that lower bounds cannot rule out; a bound projects and
+samples only a subset of the points and divides by an upper bound of the
+row's valid-point count.
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ from .lm_align import (
 )
 
 CORRELATION_BUDGET = 4096  # max pixels per map in the all-pairs product
-# Candidate rows per residual-kernel call. A block's (rows, points, 4, D)
-# float64 corner stack is about 2 MB at 64 points and D = 2, against about
-# 41 MB for the whole grid at once, which is slower.
+# Candidate rows per residual-kernel call when every point is sampled; a
+# bound round at stride s runs s times as many rows over 1/s of the points.
+# A block's (rows, points, 4, D) float64 corner stack is about 2 MB at 64
+# points and D = 2, against about 41 MB for the whole grid at once, which
+# is slower.
 _GRID_BLOCK = 512
 # The seed grid is scored in full only where it can still win (``_best_row``):
 # every row first gets a lower bound from every 8th point, the rows that
@@ -168,15 +171,6 @@ def candidate_energy(
     )[0])
 
 
-def _mean_huber(norms: np.ndarray, n_valid: np.ndarray, lm_config: LMConfig) -> np.ndarray:
-    """Huber sum of each (m, k) row of norms over its row's valid-point
-    count; infinite where fewer than ``min_valid_points`` are valid."""
-    energies = np.full(norms.shape[0], np.inf)
-    enough = n_valid >= lm_config.min_valid_points
-    energies[enough] = _huber(norms[enough], lm_config.huber_gamma).sum(axis=1) / n_valid[enough]
-    return energies
-
-
 def _grid_energies(
     level: _LevelInputs,
     tgt_l1: FeatureMap,
@@ -217,43 +211,49 @@ def _grid_bounds(
     """Lower bounds of ``_grid_energies``, and estimates of it, for the rows
     whose poses are ``rotations[rot_index[i]], translations[i]``.
 
-    The rows run in blocks of ``_GRID_BLOCK``, so peak memory scales with
-    block x points. Each block turns the level's points once per distinct
-    rotation it uses and projects them as x, y and z planes. Every row
-    projects all its points, so its valid-point count is the exact one, but
-    samples only every ``stride``-th point.
-    - The bound is the Huber sum over the sampled points divided by the
-      full count. Each sampled term is the same float as in the exact
-      energy, since it comes from the same coordinates, so the bound can
-      exceed the energy only by the rounding of a shorter sum
-      (``_BOUND_SLACK``). A row with fewer than ``min_valid_points`` valid
-      points is infinite, as its energy is.
+    Each row projects and samples only every ``stride``-th point. The rows
+    run in blocks of ``_GRID_BLOCK * stride``, so a block's arrays hold
+    about ``_GRID_BLOCK`` rows' worth of points at any stride and peak
+    memory scales with block x points. Each block turns the sampled points
+    once per distinct rotation it uses and projects them as x, y and z
+    planes.
+    - The bound is the Huber sum over the valid sampled points divided by
+      an upper bound of the row's valid count: its valid sampled points
+      plus the unsampled points that may be valid at all (in the
+      reference, positive depth). Each sampled term is the same float as
+      in the exact energy, since it comes from the same coordinates, so
+      the bound can exceed the energy only by the rounding of a shorter
+      sum (``_BOUND_SLACK``). It is infinite where that upper count is
+      below ``min_valid_points``, so an infinite bound means an infinite
+      energy; a row that loses unsampled points can keep a finite bound
+      with an infinite energy. At stride 1 the upper count is the exact
+      count and the bound is the energy.
     - The estimate is the same sum over the count of valid sampled points
       (infinite when there are none): a guess at the energy that, unlike
       the bound, does not favour rows that lose points.
     """
-    # A point outside the reference mask is invalid in every row.
-    usable = (level.points[:, 2] > 0.0) & level.in_ref
-    ref_vals = level.ref_vals[::stride]
+    sampled = slice(None, None, stride)
+    points = level.points[sampled]
+    usable = level.usable[sampled]
+    ref_vals = level.ref_vals[sampled]
+    unsampled = np.count_nonzero(level.usable) - np.count_nonzero(usable)
     bounds = np.empty(rot_index.shape[0])
     estimates = np.empty(rot_index.shape[0])
-    for start in range(0, rot_index.shape[0], _GRID_BLOCK):
-        rows = slice(start, start + _GRID_BLOCK)
+    block = _GRID_BLOCK * stride
+    for start in range(0, rot_index.shape[0], block):
+        rows = slice(start, start + block)
         turns, turn_of_row = np.unique(rot_index[rows], return_inverse=True)
-        planes = (level.points @ rotations[turns].transpose(0, 2, 1)).transpose(2, 0, 1)
+        planes = (points @ rotations[turns].transpose(0, 2, 1)).transpose(2, 0, 1)
         t = translations[rows]
         x, y, z = (np.take(planes[c], turn_of_row, axis=0) + t[:, c, None] for c in range(3))
         u, v, valid = _project_planes(usable, x, y, z, k1, lm_config.margin)
-        sampled = valid[:, ::stride]
-        warped = np.stack([u[:, ::stride], v[:, ::stride]], axis=-1)
-        norms = _valid_norms(ref_vals, tgt_l1, warped, sampled, k1)
-        n_valid = np.count_nonzero(valid, axis=1)
-        n_sampled = np.count_nonzero(sampled, axis=1)
-        bounds[rows] = _mean_huber(norms, n_valid, lm_config)
-        with np.errstate(invalid="ignore"):  # inf * 0 in the branch np.where drops
-            estimates[rows] = np.where(
-                n_sampled > 0, bounds[rows] * n_valid / np.maximum(n_sampled, 1), np.inf
-            )
+        norms = _valid_norms(ref_vals, tgt_l1, np.stack([u, v], axis=-1), valid, k1)
+        sums = _huber(norms, lm_config.huber_gamma).sum(axis=1)
+        n_sampled = np.count_nonzero(valid, axis=1)
+        n_upper = n_sampled + unsampled
+        enough = n_upper >= lm_config.min_valid_points
+        bounds[rows] = np.where(enough, sums / np.maximum(n_upper, 1), np.inf)
+        estimates[rows] = np.where(n_sampled > 0, sums / np.maximum(n_sampled, 1), np.inf)
     return bounds, estimates
 
 

@@ -99,6 +99,8 @@ class ToyTrainConfig:
     def __post_init__(self):
         if self.eval_interval < 1:
             raise LossError("eval_interval must be positive")
+        if self.eval_max_iters < 1:
+            raise LossError("eval_max_iters must be positive")
 
     @classmethod
     def from_mapping(cls, mapping) -> "ToyTrainConfig":

@@ -238,11 +238,14 @@ class TestTrainToy:
         assert "error:" in err and "'eval_flow_px'" in err
 
     @pytest.mark.parametrize(
-        "key, value", [("eval_interval", "0"), ("eval_offsets", "0"), ("ref_noise", "-1")]
+        "key, value",
+        [("eval_interval", "0"), ("eval_offsets", "0"), ("ref_noise", "-1"),
+         ("eval_max_iters", "0")],
     )
     def test_bad_training_value_exits_1(self, tmp_path, capsys, key, value):
         # eval_interval = 0 used to divide by zero, eval_offsets = 0 to report
-        # nan over no starts, and ref_noise = -1 to train without noise
+        # nan over no starts, ref_noise = -1 to train without noise, and
+        # eval_max_iters = 0 to count every evaluation start as a miss
         lines = {"n_pairs": "4", "eval_offsets": "2", key: value}
         cfg = tmp_path / "toy.cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
@@ -313,6 +316,17 @@ class TestBenchmark:
                      "--config", str(cfg), "--out-json", str(tmp_path / "rep.json")])
         assert code == EXIT_ERROR
         assert "error: margin must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "rep.json").exists()
+
+    def test_min_valid_points_below_one_exits_1(self, dataset, tmp_path, capsys):
+        # With no valid point required a level could end "converged" on none.
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text("min_valid_points = 0\n")
+        manifest = os.path.join(dataset, "manifest.json")
+        code = main(["benchmark", "--manifest", manifest, "--config", str(cfg),
+                     "--out-json", str(tmp_path / "rep.json")])
+        assert code == EXIT_ERROR
+        assert "error: min_valid_points must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "rep.json").exists()
 
     def test_missing_manifest_exits_1(self, capsys):

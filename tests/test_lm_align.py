@@ -187,11 +187,16 @@ class TestPerLevelKernel:
         for i, pose in enumerate(poses):
             want = compute_residuals(ref, tgt, uv, depths, pose, k)
             assert 0 < want.n_valid < len(uv)
+            # The solver's compact evaluation holds exactly the valid rows.
             got = _evaluate(level, tgt, pose, k, 0.3, 2.0)
             assert got.energy == want.energy
-            for name in ("residuals", "valid", "norms", "warped", "transformed"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert got.n_valid == want.n_valid
+            assert got.ids.tobytes() == np.flatnonzero(want.valid).tobytes()
+            for name in ("residuals", "norms", "transformed"):
+                assert getattr(got, name).tobytes() == getattr(want, name)[want.valid].tobytes()
             assert got.stencil.corners.tobytes() == want.stencil.corners.tobytes()
+            assert not want.residuals[~want.valid].any()
+            assert not want.norms[~want.valid].any()
             for row, name in zip(stacked, ("residuals", "norms", "valid", "warped", "transformed")):
                 assert row[i].tobytes() == getattr(want, name).tobytes()
             rows = slice(offset, offset + want.n_valid)
@@ -270,6 +275,24 @@ class TestNormalEquations:
         b_ref = -j_flat.T @ np.diag(w_flat) @ res.reshape(-1)
         np.testing.assert_allclose(h, h_ref, atol=1e-12)
         np.testing.assert_allclose(b, b_ref, atol=1e-12)
+
+    def test_valid_rows_equal_zero_padded_rows_bit_for_bit(self):
+        # The solver sums over its valid points only; zero rows with zero
+        # weights, where the invalid points were, add nothing to any bit.
+        rng = np.random.default_rng(9)
+        for _ in range(1000):
+            n, d = int(rng.integers(1, 601)), int(rng.integers(1, 5))
+            valid = rng.random(n) < rng.random()
+            k = int(valid.sum())
+            jac = rng.normal(size=(k, d, 6))
+            res = rng.normal(size=(k, d))
+            w = rng.uniform(0.0, 1.0, size=k)
+            padded = [np.zeros((n, d, 6)), np.zeros((n, d)), np.zeros(n)]
+            for full, rows in zip(padded, (jac, res, w)):
+                full[valid] = rows
+            for got, want in zip(build_normal_equations(jac, res, w),
+                                 build_normal_equations(*padded)):
+                assert got.tobytes() == want.tobytes()
 
     def test_hessian_is_psd(self):
         rng = np.random.default_rng(8)
@@ -487,6 +510,25 @@ class TestConfigAndPoints:
         with pytest.raises(AlignmentError, match="margin must be at least 1"):
             LMConfig(margin=margin)
         assert LMConfig(margin=1.0).margin == 1.0
+
+    @pytest.mark.parametrize("key, value", [
+        ("min_valid_points", 0), ("min_valid_points", -1),
+        ("max_iters_per_level", 0), ("step_norm_eps", -1e-9),
+        ("min_valid_points", math.nan), ("max_iters_per_level", math.nan),
+        ("min_valid_points", math.inf), ("max_iters_per_level", math.inf),
+    ])
+    def test_config_rejects_out_of_range_settings(self, key, value):
+        with pytest.raises(AlignmentError, match=key):
+            LMConfig(**{key: value})
+
+    @pytest.mark.parametrize(
+        "key", ["lambda_init", "lambda_max", "huber_gamma", "step_norm_eps", "cond_max", "margin"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_config_rejects_non_finite_floats(self, key, value):
+        # The config-file parser refuses these too; this is the Python API.
+        with pytest.raises(AlignmentError, match=key):
+            LMConfig(**{key: value})
 
     def test_config_from_mapping(self):
         cfg = LMConfig.from_mapping(

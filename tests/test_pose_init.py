@@ -253,6 +253,10 @@ def flat_pyramid(pyramid):
     return FeaturePyramid([FeatureMap(np.zeros(m.values.shape)) for m in pyramid.levels])
 
 
+def noise_pyramid(pyramid, rng):
+    return FeaturePyramid([FeatureMap(rng.normal(size=m.values.shape)) for m in pyramid.levels])
+
+
 def bounded_case(kind, magnitude_class, seed):
     """One seed-search input: a synthetic pair, or a degenerate variant of it."""
     rng = np.random.default_rng(seed)
@@ -274,6 +278,8 @@ def bounded_case(kind, magnitude_class, seed):
         lm = LMConfig(min_valid_points=len(points))
     elif kind == "zero_ranges":
         init = InitConfig(yaw_range_deg=0.0, pitch_range_deg=0.0, t_range=0.0, t_steps=1)
+    elif kind == "noise":  # unrelated features: a flat energy profile
+        ref, tgt = noise_pyramid(ref, rng), noise_pyramid(tgt, rng)
     return ref, tgt, points, pair.intrinsics, init, lm
 
 
@@ -313,12 +319,14 @@ class TestBoundedSearch:
         np.testing.assert_array_equal(pose.translation, np.zeros(3))
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @example(kind="noise", magnitude_class="large", seed=7002)
     @example(kind="pair", magnitude_class="small", seed=7000)
     @example(kind="pair", magnitude_class="medium", seed=7001)
     @example(kind="pair", magnitude_class="large", seed=7002)
     @given(
         kind=st.sampled_from(
-            ["pair", "flat", "flat_target", "few_points", "all_points_needed", "zero_ranges"]
+            ["pair", "flat", "flat_target", "few_points", "all_points_needed", "zero_ranges",
+             "noise"]
         ),
         magnitude_class=st.sampled_from(["small", "medium", "large"]),
         seed=st.integers(0, 10**6),
@@ -347,7 +355,9 @@ class TestBoundedSearch:
         finite = np.isfinite(exact)
         for stride in pose_init._BOUND_STRIDES:
             bounds, _ = pose_init._grid_bounds(*args, stride)
-            np.testing.assert_array_equal(np.isfinite(bounds), finite)
+            # One way only: a row that loses unsampled points keeps a
+            # finite bound under its upper valid count.
+            assert not np.any(np.isinf(bounds) & finite)
             assert np.all(bounds[finite] <= exact[finite] * (1.0 + 1e-9))
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from featalign import toy_train
 from featalign.lm_align import AlignmentError, compute_residuals
-from featalign.losses import LossConfig
+from featalign.losses import LossConfig, LossError
 from featalign.synth import SynthError, mean_flow
 from featalign.geometry import se3_exp
 from featalign.toy_train import (
@@ -59,6 +59,11 @@ class TestTrainingSet:
 
 
 class TestTraining:
+    def test_config_rejects_no_evaluation_iterations(self):
+        # The solver would refuse it at every start, and each counts as a miss.
+        with pytest.raises(LossError, match="eval_max_iters"):
+            ToyTrainConfig(eval_max_iters=0)
+
     def test_zero_learning_rate_changes_nothing(self, small_set):
         cfg = ToyTrainConfig(epochs=3, lr=0.0, seed=2)
         result = train_toy_features(small_set, cfg)

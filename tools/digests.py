@@ -6,7 +6,13 @@ Builds three datasets with ``featalign synth`` (24 pairs at base_seed 7000
 and at 11000, and 48 photometric pairs at base_seed 7000), runs
 ``featalign benchmark --init identity`` and ``--init corr`` on each, and
 trains the toy feature map for 80 epochs. It prints one ``<sha256>  <name>``
-line per dataset file, report JSON and CSV, plus the trained toy params.
+line per dataset file, report JSON and CSV, plus the trained toy params and
+the ``repr`` of the toy run's final success rate and accuracy, which the
+params do not depend on. On one pair of each class of ``clean7000`` it
+also runs ``featalign align --trace`` from identity and from the
+correlation seed and prints the digest of each result JSON, which pins
+every lambda and accept/reject decision; the comment line before each
+digest counts the rejected steps.
 A refactor that claims byte-identical behaviour runs this script at the
 parent and at the change and diffs the two outputs. The ``featalign``
 package is imported from the ``src/`` next to this directory.
@@ -17,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -38,6 +45,10 @@ DATASETS = {
     ),
 }
 TOY_EPOCHS = 80
+# The first small, medium and large pairs of clean7000 whose identity-start
+# alignment rejects steps, so the digests pin the failure branch too.
+ALIGN_DATASET = "clean7000"
+ALIGN_PAIRS = ("pair_0009", "pair_0010", "pair_0005")
 
 
 def sha256_file(path: str) -> str:
@@ -49,6 +60,28 @@ def run(argv: list) -> int:
     """featalign's CLI in-process, its stdout kept off this script's output."""
     with contextlib.redirect_stdout(io.StringIO()):
         return main(argv)
+
+
+def align_digests(tmp: str, data: str) -> None:
+    """``align --trace`` result digests of the ``ALIGN_PAIRS``."""
+    with open(os.path.join(data, "manifest.json")) as handle:
+        entries = {entry["name"]: entry for entry in json.load(handle)["pairs"]}
+    for name in ALIGN_PAIRS:
+        entry = entries[name]
+        for init in ("identity", "corr"):
+            out = os.path.join(tmp, f"{name}-align-{init}.json")
+            code = run([
+                "align", "--ref", os.path.join(data, entry["ref_features"]),
+                "--target", os.path.join(data, entry["tgt_features"]),
+                "--points", os.path.join(data, entry["points"]),
+                "--intrinsics", os.path.join(data, name, "intrinsics.txt"), "--init", init,
+                "--gt", os.path.join(data, entry["pose"]), "--trace", "--out", out,
+            ])
+            with open(out) as handle:
+                rejected = sum(level["rejected"] for level in json.load(handle)["levels"])
+            print(f"# {ALIGN_DATASET} {name} ({entry['class']}): align --init {init} "
+                  f"exit {code}, {rejected} rejected steps")
+            print(f"{sha256_file(out)}  {ALIGN_DATASET}-{name}-align-{init}.json")
 
 
 def main_digests() -> None:
@@ -73,10 +106,13 @@ def main_digests() -> None:
                 print(f"# {name}: benchmark --init {init} exit {code}")
                 for ext in (".json", ".csv"):
                     print(f"{sha256_file(stem + ext)}  {name}-{init}{ext}")
+            if name == ALIGN_DATASET:
+                align_digests(tmp, data)
     config = ToyTrainConfig(epochs=TOY_EPOCHS)
     result = train_toy_features(make_toy_training_set(config.seed), config)
     params = hashlib.sha256(np.ascontiguousarray(result.params).tobytes()).hexdigest()
     print(f"{params}  toy params, {TOY_EPOCHS} epochs, seed {config.seed}")
+    print(f"{result.final_success!r} {result.final_accuracy!r}  toy final success and accuracy")
 
 
 if __name__ == "__main__":
