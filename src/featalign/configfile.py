@@ -18,6 +18,7 @@ raised as the consumer's own error class.
 import dataclasses
 import functools
 import math
+import numbers
 import re
 import typing
 
@@ -70,6 +71,15 @@ def _fields(cls) -> dict:
         for f in dataclasses.fields(cls)
         if hints[f.name] in (int, float, str, bool) or typing.get_origin(hints[f.name]) is tuple
     }
+
+
+def check_finite(instance, error: type[Exception]) -> None:
+    """Raise ``error`` naming the first field of dataclass ``instance`` that
+    holds a non-finite number, as ``_cast`` refuses one in config text."""
+    for f in dataclasses.fields(instance):
+        value = getattr(instance, f.name)
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise error(f"{f.name} must be finite, got {value}")
 
 
 def _cast(kind, raw):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configfile import dataclass_from_mapping
+from .configfile import check_finite, dataclass_from_mapping
 
 # Depth of a camera-frame point must exceed this before projection.
 Z_MIN = 1e-6
@@ -123,6 +123,7 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self) -> None:
+        check_finite(self, GeometryError)
         if self.fx <= 0.0 or self.fy <= 0.0:
             raise GeometryError("focal lengths must be positive")
         if self.width < 1 or self.height < 1:
@@ -241,45 +242,40 @@ def _unproject(
     return np.stack([x, y, d], axis=1)
 
 
-def _project_batch(
-    points: np.ndarray, rotations: np.ndarray, translations: np.ndarray,
-    intrinsics: CameraIntrinsics, margin: float = WARP_MARGIN,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Move ``_unproject``'s points through a stack of M poses and project them.
-
-    Rotations are (M, 3, 3), translations (M, 3). Returns ``(warped, valid,
-    transformed)`` shaped (M, n, 2), (M, n) and (M, n, 3). The stacked
-    product applies each pose exactly as the one-pose ``pts @ R.T + t``
-    would.
-    """
-    transformed = points @ rotations.transpose(0, 2, 1) + translations[:, None]
-    u, v, valid = _project_planes(
-        points[:, 2] > 0.0, transformed[..., 0], transformed[..., 1], transformed[..., 2],
-        intrinsics, margin,
-    )
-    return np.stack([u, v], axis=-1), valid, transformed
-
-
 def _project_planes(
     usable: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray,
     intrinsics: CameraIntrinsics, margin: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Project target-frame coordinates held as (M, n) planes: ``(u, v, valid)``.
+    """Project target-frame coordinate planes, (n,) or (M, n): ``(u, v, valid)``.
 
     ``usable`` (n,) marks the points that may be valid at all, at least
     those with positive reference depth. A point is valid when it is also
     in front of the target camera and its pixel lies ``margin`` inside the
-    image, with ``in_margins``' inclusive bounds. Per-coordinate planes keep
-    the arithmetic on long contiguous rows, which a grid of many poses
-    needs.
+    image, with ``in_margins``' inclusive bounds. The pixels do not depend
+    on ``usable``. Planes keep the arithmetic on long contiguous rows.
     """
-    valid = usable & (z > Z_MIN)
-    zsafe = np.where(valid, z, 1.0)
+    front = z > Z_MIN
+    zsafe = np.where(front, z, 1.0)
+    valid = usable & front
     u = intrinsics.fx * x / zsafe + intrinsics.cx
     v = intrinsics.fy * y / zsafe + intrinsics.cy
     valid &= (u >= margin) & (u <= intrinsics.width - 1 - margin)
     valid &= (v >= margin) & (v <= intrinsics.height - 1 - margin)
     return u, v, valid
+
+
+def _warp(
+    points: np.ndarray, usable: np.ndarray, pose: SE3Pose,
+    intrinsics: CameraIntrinsics, margin: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``warp_points`` of reference-frame points (n, 3) whose ``usable``
+    mask is known. Synthesis and the solver warp here, so they agree bit
+    for bit."""
+    transformed = pose.transform(points)
+    u, v, valid = _project_planes(
+        usable, transformed[:, 0], transformed[:, 1], transformed[:, 2], intrinsics, margin
+    )
+    return np.stack([u, v], axis=-1), valid, transformed
 
 
 def warp_points(
@@ -298,11 +294,8 @@ def warp_points(
     non-positive, the transformed point falls at or behind the camera, or
     the projection lies outside the margin-shrunk image.
     """
-    warped, valid, transformed = _project_batch(
-        _unproject(pixels, depths, intrinsics),
-        pose.rotation[None], pose.translation[None], intrinsics, margin,
-    )
-    return warped[0], valid[0], transformed[0]
+    points = _unproject(pixels, depths, intrinsics)
+    return _warp(points, points[:, 2] > 0.0, pose, intrinsics, margin)
 
 
 def pose_twist_jacobian(

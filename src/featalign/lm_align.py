@@ -13,13 +13,12 @@ rejected one.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .configfile import dataclass_from_mapping
+from .configfile import check_finite, dataclass_from_mapping
 from .feature_maps import (
     SAMPLE_MARGIN,
     FeatureMap,
@@ -33,9 +32,8 @@ from .feature_maps import (
 from .geometry import (
     CameraIntrinsics,
     SE3Pose,
-    _project_batch,
-    _project_planes,
     _unproject,
+    _warp,
     boxplus,
     pose_twist_jacobian,
     warp_points,
@@ -149,10 +147,7 @@ class LMConfig:
         if list(self.levels) != sorted(self.levels):
             raise AlignmentError("levels must be ascending (coarse to fine)")
         _check_margin(self.margin)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, numbers.Real) and not math.isfinite(value):
-                raise AlignmentError(f"{f.name} must be finite, got {value}")
+        check_finite(self, AlignmentError)
 
     @classmethod
     def from_mapping(cls, mapping) -> "LMConfig":
@@ -208,9 +203,8 @@ class _LevelInputs(NamedTuple):
     """The pose-independent half of one level's residuals."""
 
     points: np.ndarray  # (n, 3) reference-frame points
-    in_ref: np.ndarray  # (n,) bool, sampleable in the reference map
-    ref_vals: np.ndarray  # (n, D) reference samples, zero where not in_ref
-    usable: np.ndarray  # (n,) bool, in_ref with a positive depth: may be valid at all
+    ref_vals: np.ndarray  # (n, D) reference samples, zero where not sampleable
+    usable: np.ndarray  # (n,) bool, sampleable in the reference with a positive depth
 
 
 def _level_inputs(
@@ -221,16 +215,16 @@ def _level_inputs(
     in_ref = in_margins(uv, ref.width, ref.height, SAMPLE_MARGIN)
     ref_vals = np.zeros((uv.shape[0], ref.channels))
     ref_vals[in_ref] = gather_stencil(ref, uv[in_ref]).values()
-    return _LevelInputs(points, in_ref, ref_vals, in_ref & (points[:, 2] > 0.0))
+    return _LevelInputs(points, ref_vals, in_ref & (points[:, 2] > 0.0))
 
 
 def _sample_valid(
     ref_vals: np.ndarray, tgt: FeatureMap, warped: np.ndarray, valid: np.ndarray,
     intrinsics: CameraIntrinsics,
 ) -> tuple[np.ndarray, Stencil, np.ndarray]:
-    """Target stencil and residuals of the valid entries of an (M, n) mask.
+    """Target stencil and residuals of the valid entries of an (n,) or (M, n) mask.
 
-    ``warped`` (M, n, 2) holds target pixels and ``ref_vals`` (n, D) the
+    ``warped`` (..., 2) holds target pixels and ``ref_vals`` (n, D) the
     reference samples. Returns the flat (pose, point) ids of the valid
     entries in row-major order, their stencil and their (k, D) residuals.
     Valid pixels lie a warp margin of at least ``SAMPLE_MARGIN``
@@ -247,7 +241,7 @@ def _sample_valid(
     # indexing, faster.
     flat = np.flatnonzero(valid)
     stencil = _stencil(tgt.values, np.take(warped.reshape(-1, 2), flat, axis=0))
-    res = stencil.values() - np.take(ref_vals, flat % valid.shape[1], axis=0)
+    res = stencil.values() - np.take(ref_vals, flat % valid.shape[-1], axis=0)
     return flat, stencil, res
 
 
@@ -255,38 +249,13 @@ def _valid_norms(
     ref_vals: np.ndarray, tgt: FeatureMap, warped: np.ndarray, valid: np.ndarray,
     intrinsics: CameraIntrinsics,
 ) -> np.ndarray:
-    """Residual norms (M, n) of ``_sample_valid``'s entries, zero where invalid.
-
-    The same norms as ``_residuals_batched``'s without its other outputs:
-    the seed grid scores with them.
-    """
+    """Residual norms (M, n) of ``_sample_valid``'s entries, zero where invalid:
+    row i is ``compute_residuals``' norms at pose i. The seed grid scores
+    with them."""
     flat, _, res = _sample_valid(ref_vals, tgt, warped, valid, intrinsics)
     norms = np.zeros(valid.shape)
     norms.reshape(-1)[flat] = np.linalg.norm(res, axis=1)
     return norms
-
-
-def _residuals_batched(
-    level: _LevelInputs, tgt: FeatureMap, rotations: np.ndarray, translations: np.ndarray,
-    intrinsics: CameraIntrinsics, margin: float = 2.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, Stencil]:
-    """Residuals of one level at a stack of M poses, (M, 3, 3) + (M, 3).
-
-    Returns ``(residuals, norms, valid, warped, transformed, stencil)``
-    shaped (M, n, D), (M, n), (M, n), (M, n, 2) and (M, n, 3), plus the
-    target stencil of the valid points in row-major (pose, point) order.
-    Invalid points hold zero residuals and norms.
-    """
-    warped, valid, transformed = _project_batch(
-        level.points, rotations, translations, intrinsics, margin
-    )
-    valid &= level.in_ref
-    flat, stencil, res = _sample_valid(level.ref_vals, tgt, warped, valid, intrinsics)
-    residuals = np.zeros(valid.shape + (tgt.channels,))
-    residuals.reshape(-1, tgt.channels)[flat] = res
-    norms = np.zeros(valid.shape)
-    norms.reshape(-1)[flat] = np.linalg.norm(res, axis=1)
-    return residuals, norms, valid, warped, transformed, stencil
 
 
 class _ValidEval(NamedTuple):
@@ -308,16 +277,10 @@ def _evaluate(
     level: _LevelInputs, tgt: FeatureMap, pose: SE3Pose, intrinsics: CameraIntrinsics,
     huber_gamma: float, margin: float,
 ) -> _ValidEval:
-    """The kernel at one pose, kept to the valid points: the rows of
-    ``compute_residuals`` whose mask is set, bit for bit, without the
-    zero-padded (n, ...) arrays the solver would only skip again."""
-    transformed = level.points @ pose.rotation.T + pose.translation
-    u, v, valid = _project_planes(
-        level.usable, transformed[:, 0], transformed[:, 1], transformed[:, 2], intrinsics, margin
-    )
-    ids, stencil, res = _sample_valid(
-        level.ref_vals, tgt, np.stack([u, v], axis=-1), valid[None], intrinsics
-    )
+    """``compute_residuals``' rows whose mask is set, bit for bit, without
+    the zero-padded (n, ...) arrays the solver would only skip again."""
+    warped, valid, transformed = _warp(level.points, level.usable, pose, intrinsics, margin)
+    ids, stencil, res = _sample_valid(level.ref_vals, tgt, warped, valid, intrinsics)
     norms = np.linalg.norm(res, axis=1)
     return _ValidEval(
         ids, stencil, res, norms, np.take(transformed, ids, axis=0),
@@ -340,19 +303,20 @@ def compute_residuals(
     ``uv`` must already be in this level's pixel coordinates. Points whose
     warp leaves the margins, falls behind the camera, or whose own
     coordinates cannot be sampled in the reference are marked invalid and
-    contribute nothing. This is the one-pose case of the kernel the seed
-    grid search scores its candidates with; the solver iterates its valid
-    rows.
-    ``margin`` must be at least ``SAMPLE_MARGIN``.
+    contribute nothing: ``warp_points``' own ``_warp``, then
+    ``_sample_valid``, zero-padded to all n points. ``margin`` must be at
+    least ``SAMPLE_MARGIN``.
     """
     _check_margin(margin)
-    residuals, norms, valid, warped, transformed, stencil = _residuals_batched(
-        _level_inputs(ref, uv, depths, intrinsics), tgt,
-        pose.rotation[None], pose.translation[None], intrinsics, margin,
-    )
-    valid, norms = valid[0], norms[0]
-    energy = huber_energy(norms[valid], huber_gamma)
-    return ResidualEval(residuals[0], valid, norms, energy, warped[0], transformed[0], stencil)
+    level = _level_inputs(ref, uv, depths, intrinsics)
+    warped, valid, transformed = _warp(level.points, level.usable, pose, intrinsics, margin)
+    ids, stencil, res = _sample_valid(level.ref_vals, tgt, warped, valid, intrinsics)
+    residuals = np.zeros((valid.shape[0], tgt.channels))
+    residuals[ids] = res
+    norms = np.zeros(valid.shape[0])
+    norms[ids] = np.linalg.norm(res, axis=1)
+    energy = huber_energy(norms[ids], huber_gamma)
+    return ResidualEval(residuals, valid, norms, energy, warped, transformed, stencil)
 
 
 def _stencil_jacobian(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configfile import dataclass_from_mapping
+from .configfile import check_finite, dataclass_from_mapping
 from .feature_maps import FeatureMap, FeaturePyramid
 from .geometry import CameraIntrinsics, SE3Pose, _project_planes
 from .lm_align import (
@@ -130,6 +130,7 @@ class InitConfig:
     t_steps: int = 5
 
     def __post_init__(self):
+        check_finite(self, InitError)
         if self.t_steps < 1 or self.t_steps % 2 == 0:
             raise InitError("t_steps must be odd so the seed itself is a candidate")
         if self.yaw_step_deg <= 0 or self.pitch_step_deg <= 0:
@@ -192,8 +193,7 @@ def _grid_energies(
 
     This is ``_grid_bounds`` sampling every point, where the bound is the
     energy. Each row's energy depends on that row alone, so any subset of
-    the rows, in any blocks, gives the same bits as one kernel call over
-    every row.
+    the rows, in any blocks, gives the same bits.
     """
     return _grid_bounds(level, tgt_l1, rotations, rot_index, translations, k1, lm_config, 1)[0]
 

@@ -1,15 +1,17 @@
 """Synthetic ground-truth harness: scenes, warped pairs, benchmark datasets.
 
-The generator is built so that alignment residuals vanish exactly at the
-ground-truth pose. The scene texture plays the role of the target image;
-the reference view is synthesized by sampling that texture at forward-warped
-positions through the solver's own ``warp_points`` and its one bilinear
-stencil core (``feature_maps._stencil``, behind ``gather_stencil``).
-Both sides of the residual then evaluate the identical floating-point
-expression at the true pose, so the energy is zero to the last bit, not
-merely small. Feature pyramids for benchmark pairs repeat this construction
-per level, and sparse points are kept on a stride-8 lattice so their
-coordinates stay integral at every pyramid scale.
+The scene texture plays the role of the target image; the reference view
+is synthesized by sampling that texture at forward-warped positions through
+the solver's own ``warp_points`` and its one bilinear stencil core
+(``feature_maps._stencil``, behind ``gather_stencil``). At the true pose
+the solver warps the sparse points through the same function, so their
+target positions are the same bits as those the reference was sampled at.
+The energy there is not zero but the float32 rounding of the stored
+reference samples: 1.7e-14 to 4.9e-14 per level on ``test_synth``'s three
+pairs, below the 1e-9 its ground-truth test checks. Feature pyramids for
+benchmark pairs repeat this construction per level, and sparse points are
+kept on a stride-8 lattice so their coordinates stay integral at every
+pyramid scale.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .configfile import dataclass_from_mapping
+from .configfile import check_finite, dataclass_from_mapping
 from .feature_maps import (
     FeatureMap,
     FeaturePyramid,
@@ -188,6 +190,9 @@ class PhotometricParams:
     sigma: float = 0.0
     gamma: float = 1.0
 
+    def __post_init__(self) -> None:
+        check_finite(self, SynthError)
+
     def is_identity(self) -> bool:
         return self.a == 1.0 and self.b == 0.0 and self.sigma == 0.0 and self.gamma == 1.0
 
@@ -350,8 +355,6 @@ def sample_pose_perturbation(rng, magnitude_class: str, scene: SyntheticScene) -
 
 
 def photometric_perturb(image, params: PhotometricParams, rng=None):
-    if not all(np.isfinite([params.a, params.b, params.sigma, params.gamma])):
-        raise SynthError("photometric parameters must be finite")
     out = np.asarray(image, dtype=np.float64)
     if params.gamma != 1.0:
         out = np.clip(out, 0.0, None) ** params.gamma
@@ -446,7 +449,7 @@ def build_pair(
     """Assemble a benchmark pair with exact ground-truth consistency.
 
     Without photometric perturbation the energy at the ground-truth pose is
-    exactly zero on the sparse points at every pyramid level. Perturbations
+    float32 rounding, about 1e-14, at every pyramid level. Perturbations
     are applied to the target texture only, so the clean-geometry pathway
     stays intact while appearance robustness can be probed.
     """

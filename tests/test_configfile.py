@@ -1,6 +1,7 @@
 """Tests for the key=value config text format and the typing of its values."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -127,6 +128,29 @@ class TestConsumers:
         named = "scene" if label == "dataset" else label
         with pytest.raises(error, match=f"unknown {named} config key 'warp_speed'"):
             parse({"warp_speed": "9"})
+
+
+# The config classes built from Python with numbers the text parser never
+# lets through: label -> (an instance with every field valid, error class).
+FINITE_CHECKED = {
+    "intrinsics": (EXAMPLE_K, GeometryError),
+    "solver": (LMConfig(), AlignmentError),
+    "init": (InitConfig(), InitError),
+    "photometric": (PhotometricParams(), SynthError),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("label, key", [
+    (label, f.name)
+    for label, (instance, _) in FINITE_CHECKED.items()
+    for f in dataclasses.fields(instance)
+    if type(getattr(instance, f.name)) in (int, float)
+])
+def test_python_api_refuses_non_finite_numbers(label, key, value):
+    instance, error = FINITE_CHECKED[label]
+    with pytest.raises(error, match=rf"\b{key}\b"):
+        dataclasses.replace(instance, **{key: value})
 
 
 class TestTypingRules:

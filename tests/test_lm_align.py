@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from featalign.feature_maps import (
+    SAMPLE_MARGIN,
     FeatureMap,
     FeaturePyramid,
     SampleOutOfBoundsError,
     build_baseline_pyramid,
+    in_margins,
 )
-from featalign.geometry import CameraIntrinsics, SE3Pose, boxplus, se3_exp
+from featalign.geometry import CameraIntrinsics, SE3Pose, boxplus, se3_exp, warp_points
 from featalign.lm_align import (
     AlignmentError,
     DegenerateSystemError,
@@ -24,7 +26,6 @@ from featalign.lm_align import (
     SparsePointSet,
     _evaluate,
     _level_inputs,
-    _residuals_batched,
     _stencil_jacobian,
     _valid_norms,
     align_coarse_to_fine,
@@ -39,6 +40,7 @@ from featalign.lm_align import (
     save_points_text,
     solve_step,
 )
+from featalign.synth import SceneConfig, build_pair, generate_scene, sample_pose_perturbation
 
 
 def _K64():
@@ -180,11 +182,7 @@ class TestPerLevelKernel:
         ref, tgt, uv, depths, poses = self._scene()
         k = _K64()
         level = _level_inputs(ref, uv, depths, k)
-        rotations = np.stack([p.rotation for p in poses])
-        translations = np.stack([p.translation for p in poses])
-        stacked = _residuals_batched(level, tgt, rotations, translations, k)
-        offset = 0
-        for i, pose in enumerate(poses):
+        for pose in poses:
             want = compute_residuals(ref, tgt, uv, depths, pose, k)
             assert 0 < want.n_valid < len(uv)
             # The solver's compact evaluation holds exactly the valid rows.
@@ -197,24 +195,44 @@ class TestPerLevelKernel:
             assert got.stencil.corners.tobytes() == want.stencil.corners.tobytes()
             assert not want.residuals[~want.valid].any()
             assert not want.norms[~want.valid].any()
-            for row, name in zip(stacked, ("residuals", "norms", "valid", "warped", "transformed")):
-                assert row[i].tobytes() == getattr(want, name).tobytes()
-            rows = slice(offset, offset + want.n_valid)
-            assert stacked[5].corners[rows].tobytes() == want.stencil.corners.tobytes()
-            offset += want.n_valid
-        assert offset == len(stacked[5].corners)
+
+    def test_synthesis_and_solver_warp_alike(self):
+        # Synthesis builds its exact reference maps with warp_points; the
+        # solver's ground-truth residuals stay at float32 rounding only if it
+        # warps to the very same bits.
+        ref, tgt, uv, depths, poses = self._scene()
+        cases = [(ref, tgt, uv, depths, pose, _K64()) for pose in poses]
+        rng = np.random.default_rng(1)
+        scene = generate_scene(rng, SceneConfig(), seed=1)
+        pose = sample_pose_perturbation(rng, "medium", scene)
+        pair = build_pair(scene, pose, rng, magnitude_class="medium", seed=1)
+        cases += [
+            (pair.ref_pyramid.level(l), pair.tgt_pyramid.level(l), pair.points.at_level(l),
+             pair.points.depths, pair.gt_pose, pair.intrinsics.at_level(l))
+            for l in (1, 2, 3, 4)
+        ]
+        for ref, tgt, uv, depths, pose, k in cases:
+            warped, valid, transformed = warp_points(uv, depths, pose, k)
+            want = compute_residuals(ref, tgt, uv, depths, pose, k)
+            assert want.warped.tobytes() == warped.tobytes()
+            assert want.transformed.tobytes() == transformed.tobytes()
+            got = _evaluate(_level_inputs(ref, uv, depths, k), tgt, pose, k, 0.3, 2.0)
+            assert got.transformed.tobytes() == transformed[got.ids].tobytes()
+            in_ref = in_margins(uv, ref.width, ref.height, SAMPLE_MARGIN)
+            assert np.array_equal(want.valid, valid & in_ref)
+            assert want.n_valid > 0
 
     def test_norms_core_matches_full_kernel(self):
         ref, tgt, uv, depths, poses = self._scene()
         k = _K64()
         level = _level_inputs(ref, uv, depths, k)
-        rotations = np.stack([p.rotation for p in poses])
-        translations = np.stack([p.translation for p in poses])
-        _, norms, valid, warped, _, _ = _residuals_batched(
-            level, tgt, rotations, translations, k, 3.0
-        )
+        # The oracle stacks one-pose rows, so it shares no code with the
+        # many-pose planes the core is fed in the seed grid.
+        rows = [compute_residuals(ref, tgt, uv, depths, pose, k, margin=3.0) for pose in poses]
+        warped = np.stack([row.warped for row in rows])
+        valid = np.stack([row.valid for row in rows])
         core = _valid_norms(level.ref_vals, tgt, warped, valid, k)
-        assert core.tobytes() == norms.tobytes()
+        assert core.tobytes() == np.stack([row.norms for row in rows]).tobytes()
 
     @pytest.mark.parametrize("extent", [(65, 64), (64, 65), (80, 80)])
     def test_target_smaller_than_intrinsics_raises(self, extent):

@@ -15,7 +15,6 @@ from featalign.lm_align import (
     SparsePointSet,
     _huber,
     _level_inputs,
-    _residuals_batched,
     compute_residuals,
 )
 from featalign.pose_init import (
@@ -203,11 +202,18 @@ def grid_energies(pair, rotations, rot_index, translations, lm_config):
 
 
 def one_shot_energies(pair, rotations, translations, lm_config):
-    """The grid energies from one full-kernel call over every row."""
-    _, norms, valid, _, _, _ = _residuals_batched(
-        level1_inputs(pair), pair.tgt_pyramid.level(1), rotations, translations,
-        pair.intrinsics.at_level(1), lm_config.margin,
-    )
+    """The grid energies from one-pose ``compute_residuals`` rows, stacked: an
+    oracle that shares neither the blocks nor the plane layout of the grid."""
+    rows = [
+        compute_residuals(
+            pair.ref_pyramid.level(1), pair.tgt_pyramid.level(1), pair.points.at_level(1),
+            pair.points.depths, SE3Pose(r, t), pair.intrinsics.at_level(1),
+            margin=lm_config.margin,
+        )
+        for r, t in zip(rotations, translations)
+    ]
+    norms = np.stack([row.norms for row in rows])
+    valid = np.stack([row.valid for row in rows])
     n_valid = valid.sum(axis=1)
     energies = np.full(valid.shape[0], np.inf)
     enough = n_valid >= lm_config.min_valid_points
@@ -286,7 +292,7 @@ def bounded_case(kind, magnitude_class, seed):
 class TestBoundedSearch:
     def test_shared_rotations_match_the_one_shot_kernel(self, large_pair):
         # Rows that share a rotation are turned once per block; their
-        # energies are still those of one full-kernel call over every row.
+        # energies are still those of the one-pose kernel, row by row.
         rng = np.random.default_rng(3)
         poses = [se3_exp(t) for t in rng.uniform(-0.15, 0.15, size=(40, 6))]
         poses += [se3_exp(np.array([4.0, 0.0, 0.0, 0.0, 0.0, 0.0]))]  # fewer than 8 valid

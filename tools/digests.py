@@ -12,7 +12,10 @@ params do not depend on. On one pair of each class of ``clean7000`` it
 also runs ``featalign align --trace`` from identity and from the
 correlation seed and prints the digest of each result JSON, which pins
 every lambda and accept/reject decision; the comment line before each
-digest counts the rejected steps.
+digest counts the rejected steps. On the same three pairs it runs
+``featalign eval-loss`` against the ground truth with the default
+``--seed 0`` and prints the digests of its ``--out-json`` and ``--out-csv``
+files, which pin the correspondences ``warp_points`` builds there.
 A refactor that claims byte-identical behaviour runs this script at the
 parent and at the change and diffs the two outputs. The ``featalign``
 package is imported from the ``src/`` next to this directory.
@@ -63,25 +66,31 @@ def run(argv: list) -> int:
 
 
 def align_digests(tmp: str, data: str) -> None:
-    """``align --trace`` result digests of the ``ALIGN_PAIRS``."""
+    """``align --trace`` and ``eval-loss`` output digests of the ``ALIGN_PAIRS``."""
     with open(os.path.join(data, "manifest.json")) as handle:
         entries = {entry["name"]: entry for entry in json.load(handle)["pairs"]}
     for name in ALIGN_PAIRS:
         entry = entries[name]
+        pair = [
+            "--ref", os.path.join(data, entry["ref_features"]),
+            "--target", os.path.join(data, entry["tgt_features"]),
+            "--points", os.path.join(data, entry["points"]),
+            "--intrinsics", os.path.join(data, name, "intrinsics.txt"),
+            "--gt", os.path.join(data, entry["pose"]),
+        ]
         for init in ("identity", "corr"):
             out = os.path.join(tmp, f"{name}-align-{init}.json")
-            code = run([
-                "align", "--ref", os.path.join(data, entry["ref_features"]),
-                "--target", os.path.join(data, entry["tgt_features"]),
-                "--points", os.path.join(data, entry["points"]),
-                "--intrinsics", os.path.join(data, name, "intrinsics.txt"), "--init", init,
-                "--gt", os.path.join(data, entry["pose"]), "--trace", "--out", out,
-            ])
+            code = run(["align", *pair, "--init", init, "--trace", "--out", out])
             with open(out) as handle:
                 rejected = sum(level["rejected"] for level in json.load(handle)["levels"])
             print(f"# {ALIGN_DATASET} {name} ({entry['class']}): align --init {init} "
                   f"exit {code}, {rejected} rejected steps")
             print(f"{sha256_file(out)}  {ALIGN_DATASET}-{name}-align-{init}.json")
+        stem = os.path.join(tmp, f"{name}-eval-loss")
+        code = run(["eval-loss", *pair, "--out-json", stem + ".json", "--out-csv", stem + ".csv"])
+        print(f"# {ALIGN_DATASET} {name} ({entry['class']}): eval-loss exit {code}")
+        for ext in (".json", ".csv"):
+            print(f"{sha256_file(stem + ext)}  {ALIGN_DATASET}-{name}-eval-loss{ext}")
 
 
 def main_digests() -> None:
