@@ -127,17 +127,34 @@ class Stencil:
         return stencil_gradients(self.corners, self.fu, self.fv)
 
 
+def _cells(
+    u: np.ndarray, v: np.ndarray, width: int, height: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cell ``(iu0, iv0)`` and in-cell fractions ``(fu, fv)`` of float64
+    pixel coordinates in [0, width-1] x [0, height-1]: the one home of the
+    bilinear floor, clamp and fraction."""
+    iu0 = np.floor(u).astype(np.intp)
+    iv0 = np.floor(v).astype(np.intp)
+    # Keep the +1 neighbour on-grid when a query sits exactly on the last
+    # interior node.
+    np.minimum(iu0, width - 2, out=iu0)
+    np.minimum(iv0, height - 2, out=iv0)
+    return iu0, iv0, u - iu0, v - iv0
+
+
+def _corner_weights(
+    fu: np.ndarray, fv: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The four bilinear corner weights at cell fractions (fu, fv), in
+    Stencil corner order: the one home of their products."""
+    gu = 1.0 - fu
+    gv = 1.0 - fv
+    return gu * gv, fu * gv, gu * fv, fu * fv
+
+
 def stencil_weights(fu: np.ndarray, fv: np.ndarray) -> np.ndarray:
     """Bilinear corner weights, (n, 4), in Stencil corner order."""
-    return np.stack(
-        [
-            (1.0 - fu) * (1.0 - fv),
-            fu * (1.0 - fv),
-            (1.0 - fu) * fv,
-            fu * fv,
-        ],
-        axis=1,
-    )
+    return np.stack(_corner_weights(fu, fv), axis=1)
 
 
 def stencil_values(corners: np.ndarray, fu: np.ndarray, fv: np.ndarray) -> np.ndarray:
@@ -180,18 +197,13 @@ def gather_stencil(fmap: FeatureMap, queries: np.ndarray) -> Stencil:
 def _stencil(values: np.ndarray, q: np.ndarray) -> Stencil:
     """Stencil of (h, w, D) ``values`` at (n, 2) float64 queries in [0, w-1] x [0, h-1].
 
-    The one bilinear sampling core, shared by ``gather_stencil`` and ``synth.warp_scene``.
+    The stencil core, shared by ``gather_stencil``, the solver's residuals and
+    ``synth.warp_scene``. Its cells come from ``_cells`` and its values'
+    weights from ``_corner_weights``, which the seed grid's per-plane reads
+    (``lm_align._valid_norms``) share.
     """
     h, w = values.shape[:2]
-    u, v = q[:, 0], q[:, 1]
-    iu0 = np.floor(u).astype(np.intp)
-    iv0 = np.floor(v).astype(np.intp)
-    # Keep the +1 neighbour on-grid when a query sits exactly on the last
-    # interior node.
-    iu0 = np.minimum(iu0, w - 2)
-    iv0 = np.minimum(iv0, h - 2)
-    fu = u - iu0
-    fv = v - iv0
+    iu0, iv0, fu, fv = _cells(q[:, 0], q[:, 1], w, h)
     # Flat cell ids of the four corners, in Stencil corner order.
     cells = (iv0 * w + iu0)[:, None] + (0, 1, w, w + 1)
     # np.take copies the same bytes as ``flat[cells]`` far faster.

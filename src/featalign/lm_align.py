@@ -25,6 +25,8 @@ from .feature_maps import (
     FeaturePyramid,
     SampleOutOfBoundsError,
     Stencil,
+    _cells,
+    _corner_weights,
     _stencil,
     gather_stencil,
     in_margins,
@@ -218,43 +220,75 @@ def _level_inputs(
     return _LevelInputs(points, ref_vals, in_ref & (points[:, 2] > 0.0))
 
 
-def _sample_valid(
-    ref_vals: np.ndarray, tgt: FeatureMap, warped: np.ndarray, valid: np.ndarray,
-    intrinsics: CameraIntrinsics,
-) -> tuple[np.ndarray, Stencil, np.ndarray]:
-    """Target stencil and residuals of the valid entries of an (n,) or (M, n) mask.
-
-    ``warped`` (..., 2) holds target pixels and ``ref_vals`` (n, D) the
-    reference samples. Returns the flat (pose, point) ids of the valid
-    entries in row-major order, their stencil and their (k, D) residuals.
-    Valid pixels lie a warp margin of at least ``SAMPLE_MARGIN``
+def _check_covers(tgt: FeatureMap, intrinsics: CameraIntrinsics) -> None:
+    """Valid pixels lie a warp margin of at least ``SAMPLE_MARGIN``
     (``_check_margin``) inside the ``intrinsics`` extent, so they are
     sampled without a second margin test once the target map is known to
-    cover that extent; a smaller map raises ``SampleOutOfBoundsError``.
-    """
+    cover that extent; a smaller map raises ``SampleOutOfBoundsError``."""
     if tgt.width < intrinsics.width or tgt.height < intrinsics.height:
         raise SampleOutOfBoundsError(
             f"{tgt.width}x{tgt.height} target map is smaller than the "
             f"{intrinsics.width}x{intrinsics.height} image of its intrinsics"
         )
-    # np.take and flat stores move the same bytes as boolean-mask
-    # indexing, faster.
-    flat = np.flatnonzero(valid)
-    stencil = _stencil(tgt.values, np.take(warped.reshape(-1, 2), flat, axis=0))
-    res = stencil.values() - np.take(ref_vals, flat % valid.shape[-1], axis=0)
-    return flat, stencil, res
+
+
+def _sample_valid(
+    ref_vals: np.ndarray, tgt: FeatureMap, warped: np.ndarray, valid: np.ndarray,
+    intrinsics: CameraIntrinsics,
+) -> tuple[np.ndarray, Stencil, np.ndarray]:
+    """Target stencil and residuals of the valid points of an (n,) mask.
+
+    ``warped`` (n, 2) holds target pixels and ``ref_vals`` (n, D) the
+    reference samples. Returns the ascending ids of the valid points, their
+    stencil and their (k, D) residuals (``_check_covers``).
+    """
+    _check_covers(tgt, intrinsics)
+    # np.take moves the same bytes as boolean-mask indexing, faster.
+    ids = np.flatnonzero(valid)
+    stencil = _stencil(tgt.values, np.take(warped, ids, axis=0))
+    return ids, stencil, stencil.values() - np.take(ref_vals, ids, axis=0)
 
 
 def _valid_norms(
-    ref_vals: np.ndarray, tgt: FeatureMap, warped: np.ndarray, valid: np.ndarray,
-    intrinsics: CameraIntrinsics,
+    ref_vals: np.ndarray, tgt: FeatureMap, u: np.ndarray, v: np.ndarray,
+    valid: np.ndarray, intrinsics: CameraIntrinsics,
 ) -> np.ndarray:
-    """Residual norms (M, n) of ``_sample_valid``'s entries, zero where invalid:
-    row i is ``compute_residuals``' norms at pose i. The seed grid scores
-    with them."""
-    flat, _, res = _sample_valid(ref_vals, tgt, warped, valid, intrinsics)
+    """Residual norms (M, n) at the target pixels ``(u, v)`` of the valid
+    entries of an (M, n) mask, zero where invalid: row i holds
+    ``compute_residuals``' norms at pose i. The seed grid scores with them.
+
+    The valid entries are compacted to flat arrays, and each channel is
+    read from its own float64 plane of the target: the corner sum
+    ``((w0 c0 + w1 c1) + w2 c2) + w3 c3``, minus the reference, squared
+    and summed in channel order, then the square root. For 2 <= D <= 7
+    that is ``Stencil.values()``' einsum and ``np.linalg.norm``'s sum bit
+    for bit, so the norms equal ``compute_residuals``'. At D = 1 the einsum
+    adds the corners in another order, and from D = 8 on the norm sums
+    channels pairwise, so there a norm can differ from the solver's in the
+    last bits. Every seed energy and bound comes from this one function,
+    so the seed is still the exact argmin of its own energies at every D.
+    """
+    _check_covers(tgt, intrinsics)
+    h, w = tgt.height, tgt.width
+    flat = np.flatnonzero(valid)
+    iu0, iv0, fu, fv = _cells(np.take(u, flat), np.take(v, flat), w, h)
+    weights = _corner_weights(fu, fv)
+    cell = iv0 * w + iu0
+    planes = np.ascontiguousarray(tgt.values.reshape(h * w, -1).T, dtype=np.float64)
+    # Point ids of the entries; floor division is about twice as fast as %.
+    n = valid.shape[-1]
+    ids = flat - n * (flat // n)
+    squares = np.zeros(flat.size)
+    for plane, ref_plane in zip(planes, np.ascontiguousarray(ref_vals.T)):
+        # A plane viewed from offset o reads cell + o, so one cell id array
+        # serves all four corners.
+        res = weights[0] * np.take(plane, cell)
+        for weight, offset in zip(weights[1:], (1, w, w + 1)):
+            res += weight * np.take(plane[offset:], cell)
+        res -= np.take(ref_plane, ids)
+        squares += res * res
     norms = np.zeros(valid.shape)
-    norms.reshape(-1)[flat] = np.linalg.norm(res, axis=1)
+    norms.reshape(-1)[flat] = np.sqrt(squares)
     return norms
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configfile import dataclass_from_mapping
+from .configfile import check_finite, dataclass_from_mapping
 from .feature_maps import (
     FeatureMap,
     SAMPLE_MARGIN,
@@ -61,6 +61,7 @@ class LossConfig:
     w_gn: float = 1.0
 
     def __post_init__(self):
+        check_finite(self, LossError)
         for name in ("margin", "lambda_f", "gd_margin", "epsilon", "gd_radius", "gn_radius"):
             if getattr(self, name) <= 0:
                 raise LossError(f"{name} must be positive")

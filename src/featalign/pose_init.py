@@ -35,12 +35,15 @@ from .lm_align import (
 )
 
 CORRELATION_BUDGET = 4096  # max pixels per map in the all-pairs product
-# Candidate rows per residual-kernel call when every point is sampled; a
+# Candidate rows per ``_valid_norms`` call when every point is sampled; a
 # bound round at stride s runs s times as many rows over 1/s of the points.
-# A block's (rows, points, 4, D) float64 corner stack is about 2 MB at 64
-# points and D = 2, against about 41 MB for the whole grid at once, which
-# is slower.
-_GRID_BLOCK = 512
+# The kernel's temporaries are flat float64 arrays over a block's valid
+# entries, up to 16,384 of them at 64 points. Measured in-process on the
+# 120 reloc_corr pairs of seed 7, 256 rows take about 540 minor page faults
+# per pair against 1,220 at 512 rows, while 128 and 64 rows lose more to
+# per-block overhead than they save (seed ms per pair 9.7, 9.0, 9.5 and
+# 11.8 at 512, 256, 128 and 64 rows; 256 also wins at seed 11).
+_GRID_BLOCK = 256
 # The seed grid is scored in full only where it can still win (``_best_row``):
 # every row first gets a lower bound from every 8th point, the rows that
 # survive a tighter one from every 2nd point. After each round the
@@ -184,8 +187,13 @@ def _grid_energies(
     """Mean per-valid-point Huber energy at the coarsest level of the rows
     whose poses are ``rotations[rot_index[i]], translations[i]``.
 
-    Every row goes through the solver's residual kernel core with the
-    solver's Huber gamma and warp margin. A row is infinite when fewer than
+    Every row warps with the solver's margin and reads its residual norms
+    from ``_valid_norms``, one target channel plane at a time, with the
+    solver's Huber gamma. For 2 <= D <= 7 channels those norms are
+    ``compute_residuals``' bit for bit; at D = 1 and D >= 8 they can differ
+    in the last bits (``_valid_norms``). The seed's bounds and energies
+    all come from that one kernel, so at every D the chosen row is the
+    exact argmin of these energies. A row is infinite when fewer than
     ``lm_config.min_valid_points`` survive the warp, so a candidate cannot
     win by throwing points away. Rows are summed with their invalid (zero)
     entries in place, so an energy can differ from the serial
@@ -247,7 +255,7 @@ def _grid_bounds(
         t = translations[rows]
         x, y, z = (np.take(planes[c], turn_of_row, axis=0) + t[:, c, None] for c in range(3))
         u, v, valid = _project_planes(usable, x, y, z, k1, lm_config.margin)
-        norms = _valid_norms(ref_vals, tgt_l1, np.stack([u, v], axis=-1), valid, k1)
+        norms = _valid_norms(ref_vals, tgt_l1, u, v, valid, k1)
         sums = _huber(norms, lm_config.huber_gamma).sum(axis=1)
         n_sampled = np.count_nonzero(valid, axis=1)
         n_upper = n_sampled + unsampled

@@ -117,6 +117,7 @@ class SceneConfig:
     gradient_coverage_min: float = 0.30
 
     def __post_init__(self):
+        check_finite(self, SynthError)
         if self.height % 8 or self.width % 8:
             raise SynthError("scene dims must be multiples of 8")
         if not 0.0 < self.depth_min < self.depth_max:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configfile import dataclass_from_mapping
+from .configfile import check_finite, dataclass_from_mapping
 from .feature_maps import (
     FeatureMap,
     SampleOutOfBoundsError,
@@ -97,6 +97,7 @@ class ToyTrainConfig:
     ref_noise: float = 0.2
 
     def __post_init__(self):
+        check_finite(self, LossError)
         if self.eval_interval < 1:
             raise LossError("eval_interval must be positive")
         if self.eval_max_iters < 1:

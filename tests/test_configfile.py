@@ -137,6 +137,9 @@ FINITE_CHECKED = {
     "solver": (LMConfig(), AlignmentError),
     "init": (InitConfig(), InitError),
     "photometric": (PhotometricParams(), SynthError),
+    "loss": (LossConfig(), LossError),
+    "toy_training": (ToyTrainConfig(), LossError),
+    "scene": (SceneConfig(), SynthError),
 }
 
 

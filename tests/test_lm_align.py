@@ -8,16 +8,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from featalign.feature_maps import (
     SAMPLE_MARGIN,
     FeatureMap,
     FeaturePyramid,
     SampleOutOfBoundsError,
+    _stencil,
     build_baseline_pyramid,
     in_margins,
 )
-from featalign.geometry import CameraIntrinsics, SE3Pose, boxplus, se3_exp, warp_points
+from featalign.geometry import (
+    Z_MIN,
+    CameraIntrinsics,
+    SE3Pose,
+    _project_planes,
+    boxplus,
+    se3_exp,
+    warp_points,
+)
 from featalign.lm_align import (
     AlignmentError,
     DegenerateSystemError,
@@ -229,9 +240,9 @@ class TestPerLevelKernel:
         # The oracle stacks one-pose rows, so it shares no code with the
         # many-pose planes the core is fed in the seed grid.
         rows = [compute_residuals(ref, tgt, uv, depths, pose, k, margin=3.0) for pose in poses]
-        warped = np.stack([row.warped for row in rows])
+        u, v = np.stack([row.warped for row in rows]).transpose(2, 0, 1)
         valid = np.stack([row.valid for row in rows])
-        core = _valid_norms(level.ref_vals, tgt, warped, valid, k)
+        core = _valid_norms(level.ref_vals, tgt, u, v, valid, k)
         assert core.tobytes() == np.stack([row.norms for row in rows]).tobytes()
 
     @pytest.mark.parametrize("extent", [(65, 64), (64, 65), (80, 80)])
@@ -244,8 +255,9 @@ class TestPerLevelKernel:
         )
         with pytest.raises(SampleOutOfBoundsError, match="smaller than the"):
             compute_residuals(ref, tgt, uv, depths, poses[1], wide)
+        plane = np.zeros((1, len(uv)))
         with pytest.raises(SampleOutOfBoundsError, match="smaller than the"):
-            _valid_norms(np.zeros((len(uv), 2)), tgt, np.zeros((1, len(uv), 2)),
+            _valid_norms(np.zeros((len(uv), 2)), tgt, plane, plane,
                          np.zeros((1, len(uv)), dtype=bool), wide)
         # A map larger than the image is sampled as before.
         big = FeatureMap(np.pad(tgt.values, ((0, 16), (0, 16), (0, 0))))
@@ -276,6 +288,65 @@ class TestPerLevelKernel:
             got = _stencil_jacobian(ev.stencil, ev.transformed[ev.valid], k)
             assert got.tobytes() == jac[ev.valid].tobytes()
         assert warp_only > 0
+
+
+def stencil_norms_oracle(ref_vals, tgt, u, v, valid):
+    """The seed's residual norms over the solver's stencil path, as
+    ``_valid_norms`` computed them before it read one channel plane at a
+    time: ``_stencil``'s (k, 4, D) corners, ``Stencil.values()``' einsum and
+    ``np.linalg.norm``. Also returns the stencil and the reference rows."""
+    flat = np.flatnonzero(valid)
+    stencil = _stencil(tgt.values, np.stack([u, v], axis=-1).reshape(-1, 2)[flat])
+    ref = ref_vals[flat % valid.shape[-1]]
+    norms = np.zeros(valid.shape)
+    norms.reshape(-1)[flat] = np.linalg.norm(stencil.values() - ref, axis=1)
+    return norms, stencil, ref
+
+
+class TestPlanarNorms:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        channels=st.sampled_from([1, 2, 3, 7, 8]),
+        rows=st.integers(1, 12),
+        points=st.integers(1, 40),
+        margin=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        pad=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_planes_match_the_stencil_path(self, channels, rows, points, margin, scale, pad, seed):
+        rng = np.random.default_rng(seed)
+        w, h = (int(n) for n in rng.integers(8, 17, size=2))
+        k = CameraIntrinsics(fx=12.0, fy=12.0, cx=w / 2, cy=h / 2, width=w, height=h)
+        # A target map larger than the intrinsics' image is sampled as is.
+        tgt = FeatureMap(scale * rng.normal(size=(h + pad, w + pad, channels)))
+        ref_vals = scale * rng.normal(size=(points, channels))
+        usable = rng.random(points) < 0.9
+        x, y = rng.uniform(-1.0, 1.0, size=(2, rows, points))
+        z = rng.uniform(-0.5, 2.0, size=(rows, points))  # some behind the camera
+        z[rng.random(rows) < 0.2] = -1.0  # rows with no valid entry
+        u, v, _ = _project_planes(usable, x, y, z, k, margin)
+        # Pixels exactly on the margins; at margin 1 that is the last
+        # interior node, where the cell is clamped.
+        on_u, on_v = rng.random((2, rows, points)) < 0.2
+        u[on_u] = rng.choice([margin, w - 1 - margin], size=on_u.sum())
+        v[on_v] = rng.choice([margin, h - 1 - margin], size=on_v.sum())
+        valid = usable & (z > Z_MIN) & in_margins(np.stack([u, v], axis=-1), w, h, margin)
+
+        got = _valid_norms(ref_vals, tgt, u, v, valid, k)
+        want, stencil, ref = stencil_norms_oracle(ref_vals, tgt, u, v, valid)
+        assert not got[~valid].any()
+        if 2 <= channels <= 7:
+            assert got.tobytes() == want.tobytes()
+            return
+        # At D = 1 the einsum adds the corners in another order, and from
+        # D = 8 on np.linalg.norm sums the squares pairwise. Either moves a
+        # norm by a few roundings of the largest magnitude entering it; in
+        # ulp of the norm itself, cancellation in value - reference could
+        # make that any number.
+        magnitude = np.zeros(valid.shape)
+        magnitude[valid] = np.linalg.norm(np.abs(stencil.corners).max(axis=1) + np.abs(ref), axis=1)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(magnitude))
 
 
 class TestNormalEquations:

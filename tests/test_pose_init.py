@@ -242,9 +242,9 @@ class TestGridBlocks:
         rows = []
         real = pose_init._valid_norms
 
-        def recording(ref_vals, tgt, warped, *rest):
-            rows.append(warped.shape[0])
-            return real(ref_vals, tgt, warped, *rest)
+        def recording(ref_vals, tgt, u, *rest):
+            rows.append(u.shape[0])
+            return real(ref_vals, tgt, u, *rest)
 
         monkeypatch.setattr(pose_init, "_valid_norms", recording)
         energies = grid_energies(large_pair, rotations, np.arange(m), translations, lm)
