@@ -29,7 +29,7 @@ from .geometry import (
     warp_points,
 )
 from .lm_align import LMConfig, align_coarse_to_fine, load_points_text
-from .losses import LossConfig, LossError, batch_terms, sample_batch, total_loss
+from .losses import TERMS, LossConfig, LossError, batch_terms, sample_batch, total_loss
 from .pose_init import InitConfig, InitError, corr_pose_init
 from .synth import SynthError, build_dataset, dataset_config_from_mapping, load_manifest
 from .toy_train import ToyTrainConfig, make_toy_training_set, train_toy_features
@@ -110,6 +110,11 @@ def cmd_align(args) -> int:
     return EXIT_OK
 
 
+def _weights(config: LossConfig) -> dict:
+    """The loss term weights of ``config``, keyed by field name."""
+    return {weight: getattr(config, weight) for weight, _ in TERMS.values()}
+
+
 def cmd_eval_loss(args) -> int:
     ref, tgt, points, intrinsics = _load_pair_files(args)
     gt_pose = load_pose_text(args.gt)
@@ -126,24 +131,21 @@ def cmd_eval_loss(args) -> int:
     rng = np.random.default_rng(args.seed)
     batch = sample_batch(rng, corr, (tgt_map.height, tgt_map.width), config)
     total, breakdown = total_loss(ref_map, tgt_map, batch, config)
-    for name in ("match", "negative", "gd", "gn", "total"):
+    for name in (*TERMS, "total"):
         print(f"{name}: {breakdown[name]:.9g}")
 
     if args.out_csv:
         terms = batch_terms(ref_map, tgt_map, batch, config)
         with open(args.out_csv, "w") as handle:
             writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(("row", "ref_u", "ref_v", "match", "negative", "gd", "gn"))
+            writer.writerow(("row", "ref_u", "ref_v", *TERMS))
             for i in range(len(batch.ref_uv)):
                 writer.writerow(
                     [
                         i,
                         f"{batch.ref_uv[i, 0]:.17g}",
                         f"{batch.ref_uv[i, 1]:.17g}",
-                        f"{terms['match'][i]:.17g}",
-                        f"{terms['negative'][i]:.17g}",
-                        f"{terms['gd'][i]:.17g}",
-                        f"{terms['gn'][i]:.17g}",
+                        *(f"{terms[name][i]:.17g}" for name in TERMS),
                     ]
                 )
     if args.out_json:
@@ -153,12 +155,7 @@ def cmd_eval_loss(args) -> int:
                 "breakdown": breakdown,
                 "n_samples": int(len(batch.ref_uv)),
                 "seed": args.seed,
-                "weights": {
-                    "w_match": config.w_match,
-                    "w_negative": config.w_negative,
-                    "w_gd": config.w_gd,
-                    "w_gn": config.w_gn,
-                },
+                "weights": _weights(config),
             },
         )
     return EXIT_OK
@@ -205,12 +202,7 @@ def cmd_train_toy(args) -> int:
                     "no_gn": args.no_gn,
                     "no_neg": args.no_neg,
                 },
-                "weights": {
-                    "w_match": loss.w_match,
-                    "w_negative": loss.w_negative,
-                    "w_gd": loss.w_gd,
-                    "w_gn": loss.w_gn,
-                },
+                "weights": _weights(loss),
                 "seed": config.seed,
                 "epochs": config.epochs,
                 "trace": result.trace,

@@ -109,22 +109,29 @@ class Stencil:
     """Bilinear interpolation footprint for a batch of query points.
 
     ``corners`` holds the four cell values per query in the order
-    (u0,v0), (u1,v0), (u0,v1), (u1,v1), cast to float64.
+    (u0,v0), (u1,v0), (u0,v1), (u1,v1), cast to float64. Leading stack
+    dimensions of ``corners`` share the per-row ``fu`` and ``fv`` and stay
+    in front of ``values()`` and ``gradients()``.
     """
 
-    corners: np.ndarray  # (n, 4, D)
+    corners: np.ndarray  # (..., n, 4, D)
     fu: np.ndarray  # (n,)
     fv: np.ndarray  # (n,)
     iu0: np.ndarray  # (n,) int
     iv0: np.ndarray  # (n,) int
 
     def values(self) -> np.ndarray:
-        """Interpolated values, (n, D)."""
-        return stencil_values(self.corners, self.fu, self.fv)
+        """Interpolated values, (..., n, D)."""
+        weights = np.stack(_corner_weights(self.fu, self.fv), axis=1)
+        return np.einsum("nc,...ncd->...nd", weights, self.corners)
 
     def gradients(self) -> np.ndarray:
-        """Interpolant gradients d(value)/d(u, v), (n, D, 2)."""
-        return stencil_gradients(self.corners, self.fu, self.fv)
+        """Interpolant gradients d(value)/d(u, v), (..., n, D, 2)."""
+        fu, fv = self.fu[:, None], self.fv[:, None]
+        c0, c1, c2, c3 = (self.corners[..., k, :] for k in range(4))
+        du = (1.0 - fv) * (c1 - c0) + fv * (c3 - c2)
+        dv = (1.0 - fu) * (c2 - c0) + fu * (c3 - c1)
+        return np.stack([du, dv], axis=-1)
 
 
 def _cells(
@@ -150,25 +157,6 @@ def _corner_weights(
     gu = 1.0 - fu
     gv = 1.0 - fv
     return gu * gv, fu * gv, gu * fv, fu * fv
-
-
-def stencil_weights(fu: np.ndarray, fv: np.ndarray) -> np.ndarray:
-    """Bilinear corner weights, (n, 4), in Stencil corner order."""
-    return np.stack(_corner_weights(fu, fv), axis=1)
-
-
-def stencil_values(corners: np.ndarray, fu: np.ndarray, fv: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of (n, 4, D) corners at cell fractions (fu, fv), (n, D)."""
-    return np.einsum("nc,ncd->nd", stencil_weights(fu, fv), corners)
-
-
-def stencil_gradients(corners: np.ndarray, fu: np.ndarray, fv: np.ndarray) -> np.ndarray:
-    """d(value)/d(u, v) of the bilinear interpolant, (n, D, 2)."""
-    fu = fu[:, None]
-    fv = fv[:, None]
-    du = (1.0 - fv) * (corners[:, 1] - corners[:, 0]) + fv * (corners[:, 3] - corners[:, 2])
-    dv = (1.0 - fu) * (corners[:, 2] - corners[:, 0]) + fu * (corners[:, 3] - corners[:, 1])
-    return np.stack([du, dv], axis=2)
 
 
 def in_margins(uv: np.ndarray, width: int, height: int, margin: float) -> np.ndarray:

@@ -11,13 +11,13 @@ normal equations of the alignment update:
             should land on it, with the local curvature acting as the
             precision of a Gaussian (negative log-density form).
 
-Every term consumes bilinear interpolation stencils, so the training
-gradient can be computed by central finite differences over individual
-stored cell values without re-evaluating untouched samples.
+``TERMS`` pairs each term with its weight and target samples, and ``_term``
+holds its formula over bilinear stencils, so the training gradient is a
+central difference per stored cell that re-evaluates only touched samples.
 
-Sign convention: the per-point right-hand side is b = -J^T r and update
-steps are p + (H + damping)^{-1} b, i.e. steps descend the local quadratic
-model. See the decision record for why this is spelled out.
+Sign convention: the per-point right-hand side is b = -J^T r, as in
+``lm_align.build_normal_equations``, so the update step
+p + (H + damping)^{-1} b descends the local quadratic model.
 """
 
 from __future__ import annotations
@@ -34,13 +34,20 @@ from .feature_maps import (
     Stencil,
     gather_stencil,
     in_margins,
-    stencil_gradients,
-    stencil_values,
 )
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 DET_FLOOR = 1e-12
 FD_STEP = 1e-4
+
+# Each loss term's LossConfig weight field and the CorrespondenceBatch field
+# of the target samples it reads, in breakdown order.
+TERMS = {
+    "match": ("w_match", "gt_uv"),
+    "negative": ("w_negative", "neg_uv"),
+    "gd": ("w_gd", "ring_uv"),
+    "gn": ("w_gn", "near_uv"),
+}
 
 
 class LossError(Exception):
@@ -67,9 +74,9 @@ class LossConfig:
                 raise LossError(f"{name} must be positive")
         if not self.epsilon < self.lambda_f / 1000.0:
             raise LossError("epsilon must be well below lambda_f (by 1000x)")
-        for name in ("w_match", "w_negative", "w_gd", "w_gn"):
-            if getattr(self, name) < 0:
-                raise LossError(f"{name} must be non-negative")
+        for weight, _ in TERMS.values():
+            if getattr(self, weight) < 0:
+                raise LossError(f"{weight} must be non-negative")
 
     @classmethod
     def from_mapping(cls, mapping, base: "LossConfig | None" = None) -> "LossConfig":
@@ -107,50 +114,51 @@ class CorrespondenceBatch:
 
 
 # ---------------------------------------------------------------------------
-# Stencil-level term arithmetic (shared by batches and FD).
+# Stencil-level term arithmetic (shared by batches and FD). Target stencils
+# may carry leading stack dimensions ahead of the batch rows.
 # ---------------------------------------------------------------------------
 
 
-def _sq_dist_terms(corners, fu, fv, f_ref):
-    diff = stencil_values(corners, fu, fv) - f_ref
-    return np.einsum("nd,nd->n", diff, diff)
-
-
-def _gn_pieces(corners, fu, fv, f_ref):
-    """Residual, 2x2 Hessian and rhs for every row, from raw stencils."""
-    jac = stencil_gradients(corners, fu, fv)       # (n, D, 2)
-    res = stencil_values(corners, fu, fv) - f_ref  # (n, D)
-    hess = np.einsum("ndi,ndj->nij", jac, jac)     # (n, 2, 2)
-    rhs = -np.einsum("ndi,nd->ni", jac, res)       # (n, 2)
+def _gn_pieces(st: Stencil, f_ref):
+    """Residual, 2x2 Hessian and rhs for every row of a target stencil."""
+    jac = st.gradients()                          # (..., n, D, 2)
+    res = st.values() - f_ref                     # (..., n, D)
+    hess = np.einsum("...ndi,...ndj->...nij", jac, jac)  # (..., n, 2, 2)
+    rhs = -np.einsum("...ndi,...nd->...ni", jac, res)    # (..., n, 2)
     return res, jac, hess, rhs
 
 
 def _solve_2x2(hess, damping, rhs):
-    a = hess[:, 0, 0] + damping
-    b = hess[:, 0, 1]
-    c = hess[:, 1, 0]
-    d = hess[:, 1, 1] + damping
+    a = hess[..., 0, 0] + damping
+    b = hess[..., 0, 1]
+    c = hess[..., 1, 0]
+    d = hess[..., 1, 1] + damping
     det = a * d - b * c
     out = np.empty_like(rhs)
-    out[:, 0] = (d * rhs[:, 0] - b * rhs[:, 1]) / det
-    out[:, 1] = (-c * rhs[:, 0] + a * rhs[:, 1]) / det
+    out[..., 0] = (d * rhs[..., 0] - b * rhs[..., 1]) / det
+    out[..., 1] = (-c * rhs[..., 0] + a * rhs[..., 1]) / det
     return out
 
 
-def _gd_terms(corners, fu, fv, f_ref, ring_uv, gt_uv, config):
-    _, _, hess, rhs = _gn_pieces(corners, fu, fv, f_ref)
-    after = ring_uv + _solve_2x2(hess, config.lambda_f, rhs)
-    gain = np.einsum("ni,ni->n", after - gt_uv, after - gt_uv)
-    before = np.einsum("ni,ni->n", ring_uv - gt_uv, ring_uv - gt_uv)
-    return np.maximum(gain - before + config.gd_margin, 0.0)
-
-
-def _gn_terms(corners, fu, fv, f_ref, near_uv, gt_uv, config):
-    _, _, hess, rhs = _gn_pieces(corners, fu, fv, f_ref)
-    after = near_uv + _solve_2x2(hess, config.epsilon, rhs)
+def _term(name: str, st: Stencil, f_ref, batch, config) -> np.ndarray:
+    """Per-row values of loss term ``name`` from the target stencil ``st``
+    at its ``TERMS`` samples of ``batch``, against reference features
+    ``f_ref`` (n, D). The result keeps ``st``'s leading stack dimensions."""
+    if name in ("match", "negative"):
+        diff = st.values() - f_ref
+        dist = np.einsum("...nd,...nd->...n", diff, diff)
+        return dist if name == "match" else np.maximum(config.margin - dist, 0.0)
+    uv, gt_uv = getattr(batch, TERMS[name][1]), batch.gt_uv
+    _, _, hess, rhs = _gn_pieces(st, f_ref)
+    if name == "gd":
+        after = uv + _solve_2x2(hess, config.lambda_f, rhs)
+        gain = np.einsum("...ni,...ni->...n", after - gt_uv, after - gt_uv)
+        before = np.einsum("ni,ni->n", uv - gt_uv, uv - gt_uv)
+        return np.maximum(gain - before + config.gd_margin, 0.0)
+    after = uv + _solve_2x2(hess, config.epsilon, rhs)
     diff = after - gt_uv
-    quad = 0.5 * np.einsum("ni,nij,nj->n", diff, hess, diff)
-    det = hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] * hess[:, 1, 0]
+    quad = 0.5 * np.einsum("...ni,...nij,...nj->...n", diff, hess, diff)
+    det = hess[..., 0, 0] * hess[..., 1, 1] - hess[..., 0, 1] * hess[..., 1, 0]
     return quad + LOG_TWO_PI - 0.5 * np.log(np.maximum(det, DET_FLOOR))
 
 
@@ -222,33 +230,10 @@ def sample_batch(rng, gt_correspondences, image_dims, config: LossConfig) -> Cor
 def batch_terms(ref_map: FeatureMap, tgt_map: FeatureMap, batch, config) -> dict:
     """All four loss terms for every batch row, vectorized. Returns arrays."""
     f_ref = gather_stencil(ref_map, batch.ref_uv).values()
-    st_gt = gather_stencil(tgt_map, batch.gt_uv)
-    st_neg = gather_stencil(tgt_map, batch.neg_uv)
-    st_ring = gather_stencil(tgt_map, batch.ring_uv)
-    st_near = gather_stencil(tgt_map, batch.near_uv)
     return {
-        "match": _sq_dist_terms(st_gt.corners, st_gt.fu, st_gt.fv, f_ref),
-        "negative": np.maximum(
-            config.margin - _sq_dist_terms(st_neg.corners, st_neg.fu, st_neg.fv, f_ref),
-            0.0,
-        ),
-        "gd": _gd_terms(
-            st_ring.corners, st_ring.fu, st_ring.fv, f_ref,
-            batch.ring_uv, batch.gt_uv, config,
-        ),
-        "gn": _gn_terms(
-            st_near.corners, st_near.fu, st_near.fv, f_ref,
-            batch.near_uv, batch.gt_uv, config,
-        ),
+        name: _term(name, gather_stencil(tgt_map, getattr(batch, field)), f_ref, batch, config)
+        for name, (_, field) in TERMS.items()
     }
-
-
-_TERM_WEIGHTS = {
-    "match": "w_match",
-    "negative": "w_negative",
-    "gd": "w_gd",
-    "gn": "w_gn",
-}
 
 
 def total_loss(ref_map, tgt_map, batch, config) -> tuple[float, dict]:
@@ -256,7 +241,7 @@ def total_loss(ref_map, tgt_map, batch, config) -> tuple[float, dict]:
     terms = batch_terms(ref_map, tgt_map, batch, config)
     breakdown = {name: float(values.mean()) for name, values in terms.items()}
     total = sum(
-        getattr(config, attr) * breakdown[name] for name, attr in _TERM_WEIGHTS.items()
+        getattr(config, weight) * breakdown[name] for name, (weight, _) in TERMS.items()
     )
     breakdown["total"] = float(total)
     return float(total), breakdown
@@ -265,13 +250,6 @@ def total_loss(ref_map, tgt_map, batch, config) -> tuple[float, dict]:
 # ---------------------------------------------------------------------------
 # Finite-difference training gradient.
 # ---------------------------------------------------------------------------
-
-
-def _touched_cells(st: Stencil):
-    """Row and column indices ``(iv, iu)`` of a stencil's corners, each (n, 4)."""
-    iu = np.stack([st.iu0, st.iu0 + 1, st.iu0, st.iu0 + 1], axis=1)
-    iv = np.stack([st.iv0, st.iv0, st.iv0 + 1, st.iv0 + 1], axis=1)
-    return iv, iu
 
 
 def loss_gradient_fd(
@@ -290,8 +268,9 @@ def loss_gradient_fd(
 
     Per bumped cell, only the loss terms whose interpolation stencil
     contains that cell are re-evaluated; terms elsewhere cancel in the
-    central difference. Each (sign, corner, channel) bump is one more copy
-    of the batch, so every term is evaluated once over 8 * d stacked copies.
+    central difference. The (sign, corner, channel) bumps are stacked
+    ahead of the rows of one (2, 4, d, n, 4, D) stencil, so every term is
+    evaluated once by ``_term`` over all 8 * d bumps.
     """
     params = np.asarray(params, dtype=np.float64)
     d = params.shape[2]
@@ -299,46 +278,25 @@ def loss_gradient_fd(
 
     tgt_map = FeatureMap(params)
     n = len(batch)
-    copies = 8 * d
-    f_ref = np.tile(gather_stencil(ref_map, batch.ref_uv).values(), (copies, 1))
-    gt_uv = np.tile(batch.gt_uv, (copies, 1))
-
-    term_eval = {
-        "match": lambda corners, fu, fv: _sq_dist_terms(corners, fu, fv, f_ref),
-        "negative": lambda corners, fu, fv: np.maximum(
-            config.margin - _sq_dist_terms(corners, fu, fv, f_ref), 0.0
-        ),
-        "gd": lambda corners, fu, fv: _gd_terms(
-            corners, fu, fv, f_ref, np.tile(batch.ring_uv, (copies, 1)), gt_uv, config
-        ),
-        "gn": lambda corners, fu, fv: _gn_terms(
-            corners, fu, fv, f_ref, np.tile(batch.near_uv, (copies, 1)), gt_uv, config
-        ),
-    }
-    points = {
-        "match": batch.gt_uv,
-        "negative": batch.neg_uv,
-        "gd": batch.ring_uv,
-        "gn": batch.near_uv,
-    }
+    f_ref = gather_stencil(ref_map, batch.ref_uv).values()
 
     corner = np.arange(4)[:, None]
     chan = np.arange(d)[None, :]
-    for name, uv in points.items():
-        weight = getattr(config, _TERM_WEIGHTS[name])
+    for name, (weight_field, field) in TERMS.items():
+        weight = getattr(config, weight_field)
         if weight == 0.0:
             continue
-        st = gather_stencil(tgt_map, uv)
-        iv, iu = _touched_cells(st)
+        st = gather_stencil(tgt_map, getattr(batch, field))
+        # Row and column of each corner's cell, (n, 4) in Stencil corner order.
+        iv = st.iv0[:, None] + (0, 0, 1, 1)
+        iu = st.iu0[:, None] + (0, 1, 0, 1)
         base = params[iv, iu].transpose(1, 2, 0)  # (corner, channel, row)
         # bumped[s, k, c] holds the batch's corners with corner k, channel c
         # moved up (s = 0) or down (s = 1) by the step.
         bumped = np.broadcast_to(st.corners, (2, 4, d) + st.corners.shape).copy()
         bumped[0, corner, chan, :, corner, chan] = np.float32(base + step)
         bumped[1, corner, chan, :, corner, chan] = np.float32(base - step)
-        values = term_eval[name](
-            bumped.reshape(-1, 4, d), np.tile(st.fu, copies), np.tile(st.fv, copies)
-        ).reshape(2, 4, d, n)
+        values = _term(name, Stencil(bumped, st.fu, st.fv, st.iu0, st.iv0), f_ref, batch, config)
         contrib = weight * (values[0] - values[1]) / (2.0 * step * n)
         # Indexed in (corner, channel, row) order, so every cell sums its
         # contributions corner by corner, then row by row.

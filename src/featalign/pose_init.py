@@ -395,7 +395,7 @@ def corr_pose_init(
     # moves by t_seed + t_off[o].
     rotations = np.concatenate([np.eye(3)[None], rot_ang])
     rot_index = np.concatenate([[0], np.repeat(np.arange(1, n_ang + 1), t_off.shape[0])])
-    translations = np.concatenate([np.zeros((1, 3)), t_seed + np.tile(t_off, (n_ang, 1))])
+    translations = np.concatenate([np.zeros((1, 3)), *[t_seed + t_off] * n_ang])
     level = _level_inputs(ref_l1, points.at_level(1), points.depths, k1)
     best = _best_row(level, tgt_l1, rotations, rot_index, translations, k1, lm_config)
     return SE3Pose(rotation=rotations[rot_index[best]], translation=translations[best])

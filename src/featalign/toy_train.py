@@ -32,7 +32,7 @@ from .feature_maps import (
 )
 from .geometry import SE3Pose, boxplus, se3_exp, warp_points
 from .lm_align import AlignmentError, LMConfig, SparsePointSet, align_level
-from .losses import LossConfig, LossError, loss_gradient_fd, sample_batch, total_loss
+from .losses import TERMS, LossConfig, LossError, loss_gradient_fd, sample_batch, total_loss
 from .synth import (
     SceneConfig,
     SynthError,
@@ -98,10 +98,11 @@ class ToyTrainConfig:
 
     def __post_init__(self):
         check_finite(self, LossError)
-        if self.eval_interval < 1:
-            raise LossError("eval_interval must be positive")
-        if self.eval_max_iters < 1:
-            raise LossError("eval_max_iters must be positive")
+        if self.epochs < 0:
+            raise LossError("epochs must be non-negative")
+        for name in ("batch_size", "eval_interval", "eval_max_iters"):
+            if getattr(self, name) < 1:
+                raise LossError(f"{name} must be positive")
 
     @classmethod
     def from_mapping(cls, mapping) -> "ToyTrainConfig":
@@ -335,7 +336,7 @@ def train_toy_features(
             "success_rate": None,
             "mean_flow_error": None,
         }
-        for name in ("match", "negative", "gd", "gn"):
+        for name in TERMS:
             row[name] = float(np.mean([b[name] for b in breakdowns]))
         if epoch % config.eval_interval == 0 and config.lr != 0.0 and epoch > 0:
             rate, acc = evaluate_alignment(training_set, params, config)

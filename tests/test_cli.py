@@ -240,18 +240,28 @@ class TestTrainToy:
     @pytest.mark.parametrize(
         "key, value",
         [("eval_interval", "0"), ("eval_offsets", "0"), ("ref_noise", "-1"),
-         ("eval_max_iters", "0")],
+         ("eval_max_iters", "0"), ("batch_size", "0"), ("batch_size", "-2")],
     )
     def test_bad_training_value_exits_1(self, tmp_path, capsys, key, value):
         # eval_interval = 0 used to divide by zero, eval_offsets = 0 to report
-        # nan over no starts, ref_noise = -1 to train without noise, and
-        # eval_max_iters = 0 to count every evaluation start as a miss
+        # nan over no starts, ref_noise = -1 to train without noise,
+        # eval_max_iters = 0 to count every evaluation start as a miss,
+        # batch_size = 0 to blame the correspondences and batch_size = -2 to
+        # fail inside NumPy
         lines = {"n_pairs": "4", "eval_offsets": "2", key: value}
         cfg = tmp_path / "toy.cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
         assert main(["train-toy", "--config", str(cfg), "--epochs", "1"]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert "error:" in err and key in err
+
+    @pytest.mark.parametrize("epochs", ["-1", "-3"])
+    def test_negative_epochs_exits_1(self, tmp_path, capsys, epochs):
+        # used to exit 0 and write an empty trace
+        out = str(tmp_path / "toy.json")
+        assert main(["train-toy", "--epochs", epochs, "--out", out]) == EXIT_ERROR
+        assert "error: epochs must be non-negative" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestBenchmark:

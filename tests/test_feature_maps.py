@@ -9,6 +9,7 @@ from featalign.feature_maps import (
     FeatureMapError,
     FeaturePyramid,
     SampleOutOfBoundsError,
+    Stencil,
     _stencil,
     area_downsample,
     build_baseline_pyramid,
@@ -133,6 +134,26 @@ class TestStencilGather:
         st = _stencil(values, np.zeros((0, 2)))
         assert st.corners.shape == (0, 4, d) and st.corners.dtype == np.float64
         assert gather_stencil(FeatureMap(values), np.zeros((0, 2))).values().shape == (0, d)
+
+
+class TestStackedStencil:
+    """Leading dimensions of ``Stencil.corners`` share one row layout."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_stack_equals_each_copy_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        n = 7
+        corners = rng.normal(size=(2, 4, d, n, 4, d))
+        fu, fv = rng.uniform(0.0, 1.0, size=(2, n))
+        fu[0], fv[1] = 0.0, 1.0  # cell edges
+        cells = np.zeros(n, dtype=np.intp)
+        stacked = Stencil(corners, fu, fv, cells, cells)
+        values, grads = stacked.values(), stacked.gradients()
+        assert values.shape == (2, 4, d, n, d) and grads.shape == (2, 4, d, n, d, 2)
+        for idx in np.ndindex(2, 4, d):
+            single = Stencil(corners[idx], fu, fv, cells, cells)
+            assert values[idx].tobytes() == single.values().tobytes()
+            assert grads[idx].tobytes() == single.gradients().tobytes()
 
 
 class TestFeatureMapType:

@@ -15,6 +15,7 @@ from featalign.losses import (
     DET_FLOOR,
     FD_STEP,
     LOG_TWO_PI,
+    TERMS,
     CorrespondenceBatch,
     LossConfig,
     LossError,
@@ -70,7 +71,7 @@ def gn_system(ref, tgt, p, q):
     """Residual, Jacobian, Hessian and rhs of one target sample, from its stencil."""
     f_ref = gather_stencil(ref, np.asarray(p, dtype=np.float64)[None, :]).values()
     st = gather_stencil(tgt, np.asarray(q, dtype=np.float64)[None, :])
-    res, jac, hess, rhs = _gn_pieces(st.corners, st.fu, st.fv, f_ref)
+    res, jac, hess, rhs = _gn_pieces(st, f_ref)
     return res[0], jac[0], hess[0], rhs[0]
 
 
@@ -411,12 +412,7 @@ class TestLossGradientFD:
         grad = loss_gradient_fd(ref, params, batch, cfg)
         touched = set()
         for uv in (batch.gt_uv, batch.neg_uv, batch.ring_uv, batch.near_uv):
-            for u, v in uv:
-                u0 = min(int(np.floor(u)), params.shape[1] - 2)
-                v0 = min(int(np.floor(v)), params.shape[0] - 2)
-                for dv in (0, 1):
-                    for du in (0, 1):
-                        touched.add((v0 + dv, u0 + du))
+            touched.update(self._stencil_cells(uv, params.shape))
         mask = np.ones(params.shape[:2], dtype=bool)
         for (v, u) in touched:
             mask[v, u] = False
@@ -480,3 +476,44 @@ class TestLossGradientFD:
             fast[rows, cols, chans], brute[rows, cols, chans], rtol=1e-8, atol=1e-12
         )
         assert fast[2, 2, 0] == 0.0
+
+    @staticmethod
+    def _stencil_cells(uv, shape):
+        """The (v, u) cells a sample set's bilinear stencils read, sorted."""
+        iu0 = np.minimum(np.floor(uv[:, 0]).astype(int), shape[1] - 2)
+        iv0 = np.minimum(np.floor(uv[:, 1]).astype(int), shape[0] - 2)
+        return sorted({
+            (v0 + dv, u0 + du) for u0, v0 in zip(iu0, iv0) for dv in (0, 1) for du in (0, 1)
+        })
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("name", list(TERMS))
+    def test_each_term_matches_brute_on_every_cell_it_reads(self, name, d):
+        # only ``name`` is weighted, so every cell its samples read must
+        # match the oracle, and the cells only other terms read must be 0
+        ref, params, batch, _ = self._random_problem(seed=5, d=d, n=6)
+        weights = {weight: 0.0 for weight, _ in TERMS.values()}
+        cfg = LossConfig(gd_radius=3.0, **{**weights, TERMS[name][0]: 1.5})
+        touched = self._stencil_cells(getattr(batch, TERMS[name][1]), params.shape)
+        others = [
+            cell
+            for _, field in TERMS.values()
+            for cell in self._stencil_cells(getattr(batch, field), params.shape)
+            if cell not in touched
+        ]
+        untouched = sorted(set(others))[:3] + [(0, 0), (params.shape[0] - 1, 0)]
+        assert len(untouched) == 5 and not set(untouched) & set(touched)
+        entries = [(v, u, c) for v, u in touched + untouched for c in range(d)]
+        fast = loss_gradient_fd(ref, params, batch, cfg)
+        brute = brute_gradient(ref, params, batch, cfg, entries)
+        # the oracle differences two whole losses, so it rounds by about
+        # eps * |loss| / step; the gn term's log-det loss reaches ~24 here
+        total, _ = total_loss(ref, FeatureMap(params), batch, cfg)
+        atol = 8.0 * np.finfo(np.float64).eps * abs(total) / FD_STEP
+        rows, cols, chans = np.array(entries).T
+        np.testing.assert_allclose(
+            fast[rows, cols, chans], brute[rows, cols, chans], rtol=1e-8, atol=atol
+        )
+        assert np.any(fast[rows, cols, chans] != 0.0)
+        for v, u in untouched:
+            assert np.all(fast[v, u] == 0.0) and np.all(brute[v, u] == 0.0)

@@ -64,6 +64,16 @@ class TestTraining:
         with pytest.raises(LossError, match="eval_max_iters"):
             ToyTrainConfig(eval_max_iters=0)
 
+    @pytest.mark.parametrize(
+        "field, value", [("epochs", -1), ("epochs", -3), ("batch_size", 0), ("batch_size", -2)]
+    )
+    def test_config_rejects_negative_epochs_and_empty_batches(self, field, value):
+        with pytest.raises(LossError, match=f"{field} must be"):
+            ToyTrainConfig(**{field: value})
+
+    def test_config_allows_zero_epochs(self):
+        assert ToyTrainConfig(epochs=0).epochs == 0
+
     def test_zero_learning_rate_changes_nothing(self, small_set):
         cfg = ToyTrainConfig(epochs=3, lr=0.0, seed=2)
         result = train_toy_features(small_set, cfg)

@@ -16,6 +16,10 @@ digest counts the rejected steps. On the same three pairs it runs
 ``featalign eval-loss`` against the ground truth with the default
 ``--seed 0`` and prints the digests of its ``--out-json`` and ``--out-csv``
 files, which pin the correspondences ``warp_points`` builds there.
+Last, it runs ``featalign train-toy --epochs 10`` once each with
+``--no-gd``, ``--no-gn`` and ``--no-neg`` and prints the digest of each
+``--out`` JSON, whose trace holds every epoch's loss breakdown at full
+precision: these pin the gradient path that skips a zero-weight term.
 A refactor that claims byte-identical behaviour runs this script at the
 parent and at the change and diffs the two outputs. The ``featalign``
 package is imported from the ``src/`` next to this directory.
@@ -52,6 +56,9 @@ TOY_EPOCHS = 80
 # alignment rejects steps, so the digests pin the failure branch too.
 ALIGN_DATASET = "clean7000"
 ALIGN_PAIRS = ("pair_0009", "pair_0010", "pair_0005")
+# Short toy runs with one loss term switched off each.
+ABLATION_EPOCHS = 10
+ABLATIONS = ("--no-gd", "--no-gn", "--no-neg")
 
 
 def sha256_file(path: str) -> str:
@@ -122,6 +129,12 @@ def main_digests() -> None:
     params = hashlib.sha256(np.ascontiguousarray(result.params).tobytes()).hexdigest()
     print(f"{params}  toy params, {TOY_EPOCHS} epochs, seed {config.seed}")
     print(f"{result.final_success!r} {result.final_accuracy!r}  toy final success and accuracy")
+    with tempfile.TemporaryDirectory() as tmp:
+        for flag in ABLATIONS:
+            out = os.path.join(tmp, f"toy{flag}.json")
+            code = run(["train-toy", "--epochs", str(ABLATION_EPOCHS), flag, "--out", out])
+            print(f"# train-toy --epochs {ABLATION_EPOCHS} {flag} exit {code}")
+            print(f"{sha256_file(out)}  toy{flag}.json")
 
 
 if __name__ == "__main__":
