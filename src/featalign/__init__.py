@@ -41,7 +41,6 @@ from .geometry import (
     rotation_error,
     save_pose_text,
     se3_exp,
-    se3_log,
     translation_error,
     warp_points,
 )

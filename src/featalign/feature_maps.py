@@ -45,8 +45,8 @@ class FeatureMap:
         vals = np.asarray(self.values)
         if vals.ndim == 2:
             vals = vals[:, :, None]
-        if vals.ndim != 3:
-            raise FeatureMapError(f"feature map must be (h, w, d), got {vals.shape}")
+        if vals.ndim != 3 or vals.shape[2] < 1:
+            raise FeatureMapError(f"feature map must be (h, w, d) with d >= 1, got {vals.shape}")
         # Checked after the cast, so values past the float32 range fail too.
         with np.errstate(over="ignore"):
             vals = np.ascontiguousarray(vals, dtype=np.float32)

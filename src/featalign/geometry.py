@@ -23,12 +23,9 @@ from .configfile import check_finite, dataclass_from_mapping
 # Depth of a camera-frame point must exceed this before projection.
 Z_MIN = 1e-6
 
-# Below this rotation magnitude, exp/log switch to second-order Taylor
+# Below this rotation magnitude, exp switches to second-order Taylor
 # expansions of the Rodrigues coefficients.
 SMALL_ANGLE = 1e-8
-
-# Rotation logs are refused this close to the pi singularity.
-NEAR_PI_MARGIN = 1e-6
 
 _ORTHONORMAL_TOL = 1e-9
 _EYE3 = np.eye(3)
@@ -41,10 +38,6 @@ class GeometryError(ValueError):
 
 class BehindCameraError(GeometryError):
     """Raised when differentiating the projection at or behind the camera plane."""
-
-
-class NearSingularRotationError(GeometryError):
-    """Raised when taking the log of a rotation too close to pi."""
 
 
 class PoseFormatError(ValueError):
@@ -90,17 +83,6 @@ class SE3Pose:
     @staticmethod
     def identity() -> "SE3Pose":
         return SE3Pose(np.eye(3), np.zeros(3))
-
-    def compose(self, other: "SE3Pose") -> "SE3Pose":
-        """Return self * other (apply ``other`` first, then ``self``)."""
-        return SE3Pose(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
-    def inverse(self) -> "SE3Pose":
-        rt = self.rotation.T
-        return SE3Pose(rt, -rt @ self.translation)
 
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Apply the transform to one point (3,) or a batch (n, 3)."""
@@ -187,38 +169,12 @@ def se3_exp(delta: np.ndarray) -> SE3Pose:
     return SE3Pose(*_exp_arrays(delta))
 
 
-def se3_log(pose: SE3Pose) -> np.ndarray:
-    """Logarithm map back to a twist ``(v, omega)``.
-
-    Refuses rotations within ``NEAR_PI_MARGIN`` of the pi singularity, where
-    the axis is no longer recoverable from the antisymmetric part.
-    """
-    r = pose.rotation
-    cos_theta = min(1.0, max(-1.0, (np.trace(r) - 1.0) / 2.0))
-    theta = math.acos(cos_theta)
-    if theta >= math.pi - NEAR_PI_MARGIN:
-        raise NearSingularRotationError(
-            f"rotation angle {theta:.9f} rad is within {NEAR_PI_MARGIN} of pi"
-        )
-    if theta < SMALL_ANGLE:
-        half = 0.5 + theta**2 / 12.0
-        vinv_c = 1.0 / 12.0 + theta**2 / 720.0
-    else:
-        half = theta / (2.0 * math.sin(theta))
-        # V^-1 = I - k/2 + vinv_c * k^2
-        vinv_c = (1.0 - theta * math.sin(theta) / (2.0 * (1.0 - math.cos(theta)))) / theta**2
-    anti = half * (r - r.T)
-    w = np.array([anti[2, 1], anti[0, 2], anti[1, 0]])
-    k = _skew(w)
-    vinv = np.eye(3) - 0.5 * k + vinv_c * (k @ k)
-    return np.concatenate([vinv @ pose.translation, w])
-
-
 def boxplus(delta: np.ndarray, pose: SE3Pose) -> SE3Pose:
     """Left-compositional pose update ``exp(delta) * pose``.
 
-    Bit-for-bit ``se3_exp(delta).compose(pose)``, with the pose checks run
-    once, on the product: a non-finite ``exp(delta)`` fails them there.
+    The product of ``se3_exp(delta)``'s rotation and translation with the
+    pose's, bit for bit, with the pose checks run once, on the product: a
+    non-finite ``exp(delta)`` fails them there.
     """
     rot, trans = _exp_arrays(delta)
     return SE3Pose(rot @ pose.rotation, rot @ pose.translation + trans)

@@ -13,7 +13,7 @@ rejected one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -63,7 +63,6 @@ class SparsePointSet:
 
     uv: np.ndarray  # (n, 2) float64, level-4 pixel coordinates
     depths: np.ndarray  # (n,) float64, reference-frame depths
-    warning: str | None = None
 
     def __post_init__(self) -> None:
         uv = np.ascontiguousarray(np.asarray(self.uv, dtype=np.float64).reshape(-1, 2))
@@ -220,11 +219,18 @@ def _level_inputs(
     return _LevelInputs(points, ref_vals, in_ref & (points[:, 2] > 0.0))
 
 
-def _check_covers(tgt: FeatureMap, intrinsics: CameraIntrinsics) -> None:
-    """Valid pixels lie a warp margin of at least ``SAMPLE_MARGIN``
-    (``_check_margin``) inside the ``intrinsics`` extent, so they are
-    sampled without a second margin test once the target map is known to
-    cover that extent; a smaller map raises ``SampleOutOfBoundsError``."""
+def _check_pair(ref: FeatureMap, tgt: FeatureMap, intrinsics: CameraIntrinsics) -> None:
+    """Refuse maps the per-pose kernels cannot compare; each entry point
+    runs this once. The channel counts must agree. Valid pixels lie a warp
+    margin of at least ``SAMPLE_MARGIN`` (``_check_margin``) inside the
+    ``intrinsics`` extent, so they are sampled without a second margin test
+    once the target map covers that extent; a smaller one raises
+    ``SampleOutOfBoundsError``."""
+    if ref.channels != tgt.channels:
+        raise AlignmentError(
+            f"channel mismatch: {ref.channels}-channel reference map against "
+            f"a {tgt.channels}-channel target map"
+        )
     if tgt.width < intrinsics.width or tgt.height < intrinsics.height:
         raise SampleOutOfBoundsError(
             f"{tgt.width}x{tgt.height} target map is smaller than the "
@@ -233,16 +239,14 @@ def _check_covers(tgt: FeatureMap, intrinsics: CameraIntrinsics) -> None:
 
 
 def _sample_valid(
-    ref_vals: np.ndarray, tgt: FeatureMap, warped: np.ndarray, valid: np.ndarray,
-    intrinsics: CameraIntrinsics,
+    ref_vals: np.ndarray, tgt: FeatureMap, warped: np.ndarray, valid: np.ndarray
 ) -> tuple[np.ndarray, Stencil, np.ndarray]:
     """Target stencil and residuals of the valid points of an (n,) mask.
 
     ``warped`` (n, 2) holds target pixels and ``ref_vals`` (n, D) the
     reference samples. Returns the ascending ids of the valid points, their
-    stencil and their (k, D) residuals (``_check_covers``).
+    stencil and their (k, D) residuals (``_check_pair``).
     """
-    _check_covers(tgt, intrinsics)
     # np.take moves the same bytes as boolean-mask indexing, faster.
     ids = np.flatnonzero(valid)
     stencil = _stencil(tgt.values, np.take(warped, ids, axis=0))
@@ -250,8 +254,7 @@ def _sample_valid(
 
 
 def _valid_norms(
-    ref_vals: np.ndarray, tgt: FeatureMap, u: np.ndarray, v: np.ndarray,
-    valid: np.ndarray, intrinsics: CameraIntrinsics,
+    ref_vals: np.ndarray, tgt: FeatureMap, u: np.ndarray, v: np.ndarray, valid: np.ndarray
 ) -> np.ndarray:
     """Residual norms (M, n) at the target pixels ``(u, v)`` of the valid
     entries of an (M, n) mask, zero where invalid: row i holds
@@ -267,8 +270,8 @@ def _valid_norms(
     channels pairwise, so there a norm can differ from the solver's in the
     last bits. Every seed energy and bound comes from this one function,
     so the seed is still the exact argmin of its own energies at every D.
+    The caller has run ``_check_pair``.
     """
-    _check_covers(tgt, intrinsics)
     h, w = tgt.height, tgt.width
     flat = np.flatnonzero(valid)
     iu0, iv0, fu, fv = _cells(np.take(u, flat), np.take(v, flat), w, h)
@@ -314,7 +317,7 @@ def _evaluate(
     """``compute_residuals``' rows whose mask is set, bit for bit, without
     the zero-padded (n, ...) arrays the solver would only skip again."""
     warped, valid, transformed = _warp(level.points, level.usable, pose, intrinsics, margin)
-    ids, stencil, res = _sample_valid(level.ref_vals, tgt, warped, valid, intrinsics)
+    ids, stencil, res = _sample_valid(level.ref_vals, tgt, warped, valid)
     norms = np.linalg.norm(res, axis=1)
     return _ValidEval(
         ids, stencil, res, norms, np.take(transformed, ids, axis=0),
@@ -342,9 +345,10 @@ def compute_residuals(
     least ``SAMPLE_MARGIN``.
     """
     _check_margin(margin)
+    _check_pair(ref, tgt, intrinsics)
     level = _level_inputs(ref, uv, depths, intrinsics)
     warped, valid, transformed = _warp(level.points, level.usable, pose, intrinsics, margin)
-    ids, stencil, res = _sample_valid(level.ref_vals, tgt, warped, valid, intrinsics)
+    ids, stencil, res = _sample_valid(level.ref_vals, tgt, warped, valid)
     residuals = np.zeros((valid.shape[0], tgt.channels))
     residuals[ids] = res
     norms = np.zeros(valid.shape[0])
@@ -433,27 +437,14 @@ class IterationRecord:
     """One solver iteration for trace inspection and tests."""
 
     index: int
-    lam_before: float
-    lam_after: float
+    lambda_before: float
+    lambda_after: float
     accepted: bool
     energy: float
     candidate_energy: float | None
     step_norm: float | None
     n_valid: int
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "lambda_before": self.lam_before,
-            "lambda_after": self.lam_after,
-            "accepted": self.accepted,
-            "energy": self.energy,
-            "candidate_energy": self.candidate_energy,
-            "step_norm": self.step_norm,
-            "n_valid": self.n_valid,
-            "note": self.note,
-        }
 
 
 @dataclass
@@ -473,20 +464,9 @@ class LevelStats:
     trace: list[IterationRecord] = field(default_factory=list)
 
     def to_dict(self, include_trace: bool = False) -> dict:
-        out = {
-            "level": self.level,
-            "n_points": self.n_points,
-            "n_valid_final": self.n_valid_final,
-            "iterations": self.iterations,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "initial_energy": self.initial_energy,
-            "final_energy": self.final_energy,
-            "termination": self.termination,
-            "skipped_reason": self.skipped_reason,
-        }
-        if include_trace:
-            out["trace"] = [rec.to_dict() for rec in self.trace]
+        out = asdict(self)
+        if not include_trace:
+            del out["trace"]
         return out
 
 
@@ -546,6 +526,7 @@ def align_level(
     accepted step; rejected steps reuse it with a larger damping factor,
     which is equivalent to rebuilding at the unchanged pose.
     """
+    _check_pair(ref, tgt, intrinsics)
     inputs = _level_inputs(ref, uv, depths, intrinsics)
     stats = LevelStats(level=level, n_points=inputs.points.shape[0])
     pose = init_pose
@@ -580,8 +561,8 @@ def align_level(
         stats.iterations += 1
         rec = IterationRecord(
             index=it,
-            lam_before=lam,
-            lam_after=lam,
+            lambda_before=lam,
+            lambda_after=lam,
             accepted=False,
             energy=current.energy,
             candidate_energy=None,
@@ -595,7 +576,7 @@ def align_level(
         except DegenerateSystemError as exc:
             lam *= LAMBDA_FAILURE_MULT
             stats.rejected += 1
-            rec.lam_after = lam
+            rec.lambda_after = lam
             rec.note = f"degenerate: {exc}"
             continue
 
@@ -622,7 +603,7 @@ def align_level(
             stats.rejected += 1
             if cand_eval.n_valid < config.min_valid_points:
                 rec.note = "candidate lost overlap"
-        rec.lam_after = lam
+        rec.lambda_after = lam
     else:
         stats.termination = "max_iters"
 

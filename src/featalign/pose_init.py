@@ -28,6 +28,7 @@ from .geometry import CameraIntrinsics, SE3Pose, _project_planes
 from .lm_align import (
     LMConfig,
     SparsePointSet,
+    _check_pair,
     _huber,
     _level_inputs,
     _LevelInputs,
@@ -168,6 +169,7 @@ def candidate_energy(
     """The seed's coarse-level energy of one pose: ``_grid_energies``'s
     one-row call, so it equals that pose's row in the grid bit for bit."""
     k1 = intrinsics.at_level(1)
+    _check_pair(ref_l1, tgt_l1, k1)
     return float(_grid_energies(
         _level_inputs(ref_l1, points.at_level(1), points.depths, k1), tgt_l1,
         pose.rotation[None], np.zeros(1, dtype=np.intp), pose.translation[None], k1,
@@ -255,7 +257,7 @@ def _grid_bounds(
         t = translations[rows]
         x, y, z = (np.take(planes[c], turn_of_row, axis=0) + t[:, c, None] for c in range(3))
         u, v, valid = _project_planes(usable, x, y, z, k1, lm_config.margin)
-        norms = _valid_norms(ref_vals, tgt_l1, u, v, valid, k1)
+        norms = _valid_norms(ref_vals, tgt_l1, u, v, valid)
         sums = _huber(norms, lm_config.huber_gamma).sum(axis=1)
         n_sampled = np.count_nonzero(valid, axis=1)
         n_upper = n_sampled + unsampled
@@ -346,7 +348,8 @@ def corr_pose_init(
     of equal minima wins, so a grid pose is returned only when it strictly
     beats identity, and identity when no candidate keeps
     ``min_valid_points``. Degenerate inputs (too-large
-    maps, too few points) fall back to identity rather than raising.
+    maps, too few points) fall back to identity rather than raising; maps
+    the solver cannot compare raise as in ``align_level`` (``_check_pair``).
     """
     config = config or InitConfig()
     lm_config = lm_config or LMConfig()
@@ -359,6 +362,7 @@ def corr_pose_init(
     ):
         return SE3Pose.identity()
     k1 = intrinsics.at_level(1)
+    _check_pair(ref_l1, tgt_l1, k1)
 
     volume = correlation_map(ref_l1, tgt_l1)
     du, dv = median_correlation_flow(volume)

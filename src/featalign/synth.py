@@ -381,7 +381,7 @@ def select_sparse_points(
     Candidates are lattice positions (every ``stride`` pixels) inside the
     border margin whose gradient magnitude clears an adaptive threshold of
     half the image mean. When fewer than ``n`` candidates exist, all of
-    them are returned and the point set's warning field says so.
+    them are returned.
     """
     image = np.asarray(image, dtype=np.float64)
     h, w = image.shape
@@ -398,9 +398,6 @@ def select_sparse_points(
         keep &= np.asarray(mask, dtype=bool)[vv, uu]
     uu, vv = uu[keep], vv[keep]
 
-    warning = None
-    if len(uu) < n:
-        warning = f"only {len(uu)} candidates above gradient threshold, wanted {n}"
     if len(uu) > n:
         weights = gradmag[vv, uu]
         probs = weights / weights.sum()
@@ -409,7 +406,7 @@ def select_sparse_points(
 
     uv = np.stack([uu, vv], axis=1).astype(np.float64)
     depths = np.asarray(depth)[vv, uu].astype(np.float64)
-    return SparsePointSet(uv=uv, depths=depths, warning=warning)
+    return SparsePointSet(uv=uv, depths=depths)
 
 
 def exact_reference_pyramid(

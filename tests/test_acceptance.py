@@ -257,7 +257,7 @@ def test_lambda_schedule(capsys, large_ctf_results):
         for rec in stats.trace
         if rec.accepted
     ]
-    accept_bad = sum(rec.lam_after != 0.5 * rec.lam_before for rec in accepted)
+    accept_bad = sum(rec.lambda_after != 0.5 * rec.lambda_before for rec in accepted)
 
     # Failure path: every rejection in the large-motion runs. Records whose
     # damping did not move are the step-norm exits, not rejections.
@@ -266,9 +266,9 @@ def test_lambda_schedule(capsys, large_ctf_results):
         for res in large_ctf_results
         for stats in res.levels
         for rec in stats.trace
-        if not rec.accepted and rec.lam_after != rec.lam_before
+        if not rec.accepted and rec.lambda_after != rec.lambda_before
     ]
-    reject_bad = sum(rec.lam_after != 4.0 * rec.lam_before for rec in rejected)
+    reject_bad = sum(rec.lambda_after != 4.0 * rec.lambda_before for rec in rejected)
 
     ok = (
         len(accepted) >= 8

@@ -6,11 +6,14 @@ the exit code the console script would produce.
 
 import json
 import os
+import struct
 
+import numpy as np
 import pytest
 
 from featalign.cli import EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, main
 from featalign.evaluation import run_trial
+from featalign.feature_maps import FMAP_MAGIC, FMAP_VERSION, load_feature_maps
 from featalign.lm_align import LMConfig, SparsePointSet, load_points_text, save_points_text
 from featalign.synth import load_pair_entry
 
@@ -34,6 +37,45 @@ def pair_args(dataset, index=0):
         "--points", os.path.join(pair, "points.txt"),
         "--intrinsics", os.path.join(pair, "intrinsics.txt"),
     ], os.path.join(pair, "pose.txt")
+
+
+def write_channels(src, dst, channels):
+    """Copy an FMAP pyramid with ``channels`` channels per level, cycling
+    the source's; written by hand, since ``FeatureMap`` refuses 0."""
+    maps = load_feature_maps(src)
+    with open(dst, "wb") as handle:
+        handle.write(FMAP_MAGIC + struct.pack("<II", FMAP_VERSION, len(maps)))
+        for level in maps:
+            values = level.values[:, :, np.arange(channels) % level.channels]
+            handle.write(struct.pack("<III", *values.shape))
+            handle.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
+
+
+# Rewritten pyramids of pair_0000 (2 channels) and the failure each names.
+MISMATCHED = {
+    "pair_3ch_target": ({"tgt": 3}, "channel mismatch"),
+    "pair_1ch_reference": ({"ref": 1}, "channel mismatch"),
+    "pair_0ch_maps": ({"ref": 0, "tgt": 0}, "d >= 1"),
+}
+
+
+def mismatched_manifest(dataset, tmp_path):
+    """Manifest of pair_0000 followed by the ``MISMATCHED`` pairs."""
+    with open(os.path.join(dataset, "manifest.json")) as handle:
+        manifest = json.load(handle)
+    good = manifest["pairs"][0]
+    pairs = [good]
+    for name, (channels, _) in MISMATCHED.items():
+        entry = dict(good, name=name)
+        for side, count in channels.items():
+            path = str(tmp_path / f"{name}-{side}.fmap")
+            write_channels(os.path.join(dataset, good[f"{side}_features"]), path, count)
+            entry[f"{side}_features"] = path
+        pairs.append(entry)
+    path = str(tmp_path / "mismatched.json")
+    with open(path, "w") as handle:
+        json.dump(dict(manifest, pairs=pairs), handle)
+    return path
 
 
 class TestSynth:
@@ -110,6 +152,15 @@ class TestAlign:
         args[k] = str(wide)
         assert main(["align", *args, "--init", init]) == EXIT_ERROR
         assert "smaller than the" in capsys.readouterr().err
+
+    def test_channel_mismatch_exits_1(self, dataset, tmp_path, capsys):
+        args, _ = pair_args(dataset)
+        at = args.index("--target") + 1
+        target = str(tmp_path / "tgt3.fmap")
+        write_channels(args[at], target, 3)
+        args[at] = target
+        assert main(["align", *args]) == EXIT_ERROR
+        assert "error: channel mismatch" in capsys.readouterr().err
 
     def test_missing_file_exits_1(self, capsys):
         code = main(
@@ -297,6 +348,20 @@ class TestBenchmark:
         )
         assert code == EXIT_PARTIAL
         assert "failures: 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("init", ["identity", "corr"])
+    def test_mismatched_maps_end_as_records(self, dataset, tmp_path, init):
+        out = str(tmp_path / "rep.json")
+        code = main(["benchmark", "--manifest", mismatched_manifest(dataset, tmp_path),
+                     "--root", dataset, "--init", init, "--out-json", out])
+        assert code == EXIT_PARTIAL
+        with open(out) as handle:
+            records = json.load(handle)["records"]
+        assert [r["pair"] for r in records] == ["pair_0000", *MISMATCHED]
+        assert records[0]["failure"] == ""
+        for record, (_, cause) in zip(records[1:], MISMATCHED.values()):
+            assert not record["converged"]
+            assert cause in record["failure"]
 
     def test_non_finite_init_value_exits_1(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "init.cfg"

@@ -7,7 +7,10 @@ depths scaled from 1e-300 to 1e300, any ground-truth rotation up to near
 pi, and both init modes. A scale that takes a map past the float32 range
 must fail at map construction with FeatureMapError; every other run must
 return a record (never raise), and the one-record report must be strict
-JSON.
+JSON. A second property test gives the reference and target maps 0 to 3
+channels: a map with none is refused when it is built, and a pair whose
+counts differ ends as a record that names the channel mismatch and is
+never converged.
 """
 
 import functools
@@ -104,3 +107,40 @@ def test_degenerate_pair_ends_as_a_record(
     text = report_json_text({"records": [record.to_record_dict()]})
     loaded = json.loads(text, parse_constant=_reject_constant)
     assert len(loaded["records"]) == 1
+
+
+def _with_channels(pyramid, channels):
+    """The pyramid with ``channels`` channels per level, cycling its own."""
+    return FeaturePyramid([
+        FeatureMap(level.values[:, :, np.arange(channels) % level.channels])
+        for level in pyramid.levels
+    ])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    ref_channels=st.integers(0, 3),
+    tgt_channels=st.integers(0, 3),
+    init_mode=st.sampled_from(("identity", "corr")),
+)
+@example(ref_channels=2, tgt_channels=3, init_mode="identity")
+@example(ref_channels=1, tgt_channels=2, init_mode="identity")
+@example(ref_channels=1, tgt_channels=2, init_mode="corr")
+@example(ref_channels=0, tgt_channels=0, init_mode="identity")
+def test_channel_counts_end_as_a_record_or_a_refused_map(ref_channels, tgt_channels, init_mode):
+    pair = _pair()
+    if 0 in (ref_channels, tgt_channels):
+        with pytest.raises(FeatureMapError, match="d >= 1"):
+            _with_channels(pair.ref_pyramid, 0)
+        return
+    record = run_trial(
+        _with_channels(pair.ref_pyramid, ref_channels),
+        _with_channels(pair.tgt_pyramid, tgt_channels),
+        pair.points,
+        pair.gt_pose,
+        pair.intrinsics,
+        init_mode=init_mode,
+    )
+    if ref_channels != tgt_channels:
+        assert not record.converged
+        assert "channel mismatch" in record.failure

@@ -242,7 +242,7 @@ class TestPerLevelKernel:
         rows = [compute_residuals(ref, tgt, uv, depths, pose, k, margin=3.0) for pose in poses]
         u, v = np.stack([row.warped for row in rows]).transpose(2, 0, 1)
         valid = np.stack([row.valid for row in rows])
-        core = _valid_norms(level.ref_vals, tgt, u, v, valid, k)
+        core = _valid_norms(level.ref_vals, tgt, u, v, valid)
         assert core.tobytes() == np.stack([row.norms for row in rows]).tobytes()
 
     @pytest.mark.parametrize("extent", [(65, 64), (64, 65), (80, 80)])
@@ -255,10 +255,8 @@ class TestPerLevelKernel:
         )
         with pytest.raises(SampleOutOfBoundsError, match="smaller than the"):
             compute_residuals(ref, tgt, uv, depths, poses[1], wide)
-        plane = np.zeros((1, len(uv)))
         with pytest.raises(SampleOutOfBoundsError, match="smaller than the"):
-            _valid_norms(np.zeros((len(uv), 2)), tgt, plane, plane,
-                         np.zeros((1, len(uv)), dtype=bool), wide)
+            align_level(ref, tgt, uv, depths, poses[1], wide, LMConfig())
         # A map larger than the image is sampled as before.
         big = FeatureMap(np.pad(tgt.values, ((0, 16), (0, 16), (0, 0))))
         want = compute_residuals(ref, tgt, uv, depths, poses[1], _K64())
@@ -333,7 +331,7 @@ class TestPlanarNorms:
         v[on_v] = rng.choice([margin, h - 1 - margin], size=on_v.sum())
         valid = usable & (z > Z_MIN) & in_margins(np.stack([u, v], axis=-1), w, h, margin)
 
-        got = _valid_norms(ref_vals, tgt, u, v, valid, k)
+        got = _valid_norms(ref_vals, tgt, u, v, valid)
         want, stencil, ref = stencil_norms_oracle(ref_vals, tgt, u, v, valid)
         assert not got[~valid].any()
         if 2 <= channels <= 7:
@@ -499,7 +497,7 @@ class TestAlignLevelSchedule:
         assert stats.iterations == 15
         for rec in stats.trace:
             assert not rec.accepted
-            assert rec.lam_after == pytest.approx(rec.lam_before * 4.0, rel=0)
+            assert rec.lambda_after == pytest.approx(rec.lambda_before * 4.0, rel=0)
         np.testing.assert_array_equal(pose.rotation, np.eye(3))
         np.testing.assert_array_equal(pose.translation, np.zeros(3))
 
@@ -516,7 +514,7 @@ class TestAlignLevelSchedule:
         assert stats.accepted >= 2
         for rec in stats.trace:
             if rec.accepted:
-                assert rec.lam_after == pytest.approx(rec.lam_before * 0.5, rel=0)
+                assert rec.lambda_after == pytest.approx(rec.lambda_before * 0.5, rel=0)
         # The ramp pair's energy minimum is the identity pose.
         assert np.abs(pose.translation).max() < 1e-6
 
@@ -559,7 +557,7 @@ class TestCoarseToFine:
         ran = [s for s in result.levels if s.skipped_reason is None and s.trace]
         assert len(ran) >= 2
         for stats in ran:
-            assert stats.trace[0].lam_before == pytest.approx(0.1)
+            assert stats.trace[0].lambda_before == pytest.approx(0.1)
 
     def test_skipped_level_passes_pose_through(self):
         rng = np.random.default_rng(17)

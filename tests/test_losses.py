@@ -461,6 +461,13 @@ class TestLossGradientFD:
         ratio = np.abs(g3 - g2).max() / np.abs(g2 - g1).max()
         assert ratio == pytest.approx(4.0, rel=0.05)
 
+    @staticmethod
+    def _oracle_atol(ref, params, batch, cfg):
+        """``brute_gradient`` differences two whole losses, so it rounds by
+        about eps * |loss| / step."""
+        total, _ = total_loss(ref, FeatureMap(params), batch, cfg)
+        return 8.0 * np.finfo(np.float64).eps * abs(total) / FD_STEP
+
     def test_fast_matches_brute_on_touched_and_untouched_entries(self):
         ref, params, batch, cfg = self._random_problem(seed=3, n=6)
         gt0 = batch.gt_uv[0]
@@ -469,13 +476,25 @@ class TestLossGradientFD:
             (v0, u0, 0), (v0, u0 + 1, 0), (v0 + 1, u0, 1),
             (2, 2, 0),  # far from every sample
         ]
-        fast = loss_gradient_fd(ref, params, batch, cfg)
-        brute = brute_gradient(ref, params, batch, cfg, entries)
-        rows, cols, chans = np.array(entries).T
-        np.testing.assert_allclose(
-            fast[rows, cols, chans], brute[rows, cols, chans], rtol=1e-8, atol=1e-12
-        )
-        assert fast[2, 2, 0] == 0.0
+        # gn only, on every cell it reads: its loss is ~24, and the two
+        # gradients differ by ~4e-11, more than a fixed 1e-12 allows
+        gn_ref, gn_params, gn_batch, _ = self._random_problem(seed=5, d=1, n=6)
+        weights = {weight: 0.0 for weight, _ in TERMS.values()}
+        gn_only = LossConfig(gd_radius=3.0, **{**weights, "w_gn": 1.5})
+        gn_cells = self._stencil_cells(gn_batch.near_uv, gn_params.shape)
+        gn_entries = [(v, u, 0) for v, u in gn_cells] + [(2, 2, 0)]
+        for ref, params, batch, cfg, entries in (
+            (ref, params, batch, cfg, entries),
+            (gn_ref, gn_params, gn_batch, gn_only, gn_entries),
+        ):
+            fast = loss_gradient_fd(ref, params, batch, cfg)
+            brute = brute_gradient(ref, params, batch, cfg, entries)
+            rows, cols, chans = np.array(entries).T
+            np.testing.assert_allclose(
+                fast[rows, cols, chans], brute[rows, cols, chans], rtol=1e-8,
+                atol=self._oracle_atol(ref, params, batch, cfg),
+            )
+            assert fast[2, 2, 0] == 0.0
 
     @staticmethod
     def _stencil_cells(uv, shape):
@@ -506,13 +525,11 @@ class TestLossGradientFD:
         entries = [(v, u, c) for v, u in touched + untouched for c in range(d)]
         fast = loss_gradient_fd(ref, params, batch, cfg)
         brute = brute_gradient(ref, params, batch, cfg, entries)
-        # the oracle differences two whole losses, so it rounds by about
-        # eps * |loss| / step; the gn term's log-det loss reaches ~24 here
-        total, _ = total_loss(ref, FeatureMap(params), batch, cfg)
-        atol = 8.0 * np.finfo(np.float64).eps * abs(total) / FD_STEP
+        # the gn term's log-det loss reaches ~24 here (``_oracle_atol``)
         rows, cols, chans = np.array(entries).T
         np.testing.assert_allclose(
-            fast[rows, cols, chans], brute[rows, cols, chans], rtol=1e-8, atol=atol
+            fast[rows, cols, chans], brute[rows, cols, chans], rtol=1e-8,
+            atol=self._oracle_atol(ref, params, batch, cfg),
         )
         assert np.any(fast[rows, cols, chans] != 0.0)
         for v, u in untouched:

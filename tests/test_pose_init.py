@@ -493,9 +493,7 @@ class TestCorrPoseInit:
 
     def test_too_few_points_fall_back_to_identity(self, large_pair):
         pair = large_pair
-        thin = SparsePointSet(
-            uv=pair.points.uv[:4], depths=pair.points.depths[:4], warning=None
-        )
+        thin = SparsePointSet(uv=pair.points.uv[:4], depths=pair.points.depths[:4])
         pose = corr_pose_init(pair.ref_pyramid, pair.tgt_pyramid, thin, pair.intrinsics)
         np.testing.assert_array_equal(pose.rotation, np.eye(3))
         np.testing.assert_array_equal(pose.translation, np.zeros(3))

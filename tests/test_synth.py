@@ -245,7 +245,6 @@ class TestSelectSparsePoints:
         depth = np.full((96, 128), 2.0)
         points = select_sparse_points(image, depth, 50, np.random.default_rng(0))
         assert len(points) == 0
-        assert points.warning is not None
 
     def test_returns_requested_unique_points(self):
         scene = _default_scene(19)
@@ -253,7 +252,6 @@ class TestSelectSparsePoints:
             scene.texture, scene.depth, 500, np.random.default_rng(20)
         )
         assert len(points) == 500
-        assert points.warning is None
         assert len({(u, v) for u, v in points.uv}) == 500
         assert points.uv[:, 0].max() < 128 and points.uv[:, 1].max() < 96
 

@@ -12,7 +12,9 @@ params do not depend on. On one pair of each class of ``clean7000`` it
 also runs ``featalign align --trace`` from identity and from the
 correlation seed and prints the digest of each result JSON, which pins
 every lambda and accept/reject decision; the comment line before each
-digest counts the rejected steps. On the same three pairs it runs
+digest counts the rejected steps. It runs both again without ``--trace``
+and prints the digest of each result JSON, which pins the level records
+without their iteration traces. On the same three pairs it runs
 ``featalign eval-loss`` against the ground truth with the default
 ``--seed 0`` and prints the digests of its ``--out-json`` and ``--out-csv``
 files, which pin the correspondences ``warp_points`` builds there.
@@ -73,7 +75,8 @@ def run(argv: list) -> int:
 
 
 def align_digests(tmp: str, data: str) -> None:
-    """``align --trace`` and ``eval-loss`` output digests of the ``ALIGN_PAIRS``."""
+    """``align`` (with and without ``--trace``) and ``eval-loss`` output
+    digests of the ``ALIGN_PAIRS``."""
     with open(os.path.join(data, "manifest.json")) as handle:
         entries = {entry["name"]: entry for entry in json.load(handle)["pairs"]}
     for name in ALIGN_PAIRS:
@@ -93,6 +96,12 @@ def align_digests(tmp: str, data: str) -> None:
             print(f"# {ALIGN_DATASET} {name} ({entry['class']}): align --init {init} "
                   f"exit {code}, {rejected} rejected steps")
             print(f"{sha256_file(out)}  {ALIGN_DATASET}-{name}-align-{init}.json")
+        for init in ("identity", "corr"):
+            out = os.path.join(tmp, f"{name}-align-{init}-untraced.json")
+            code = run(["align", *pair, "--init", init, "--out", out])
+            print(f"# {ALIGN_DATASET} {name} ({entry['class']}): align --init {init} "
+                  f"without --trace exit {code}")
+            print(f"{sha256_file(out)}  {ALIGN_DATASET}-{name}-align-{init}-untraced.json")
         stem = os.path.join(tmp, f"{name}-eval-loss")
         code = run(["eval-loss", *pair, "--out-json", stem + ".json", "--out-csv", stem + ".csv"])
         print(f"# {ALIGN_DATASET} {name} ({entry['class']}): eval-loss exit {code}")
