@@ -122,7 +122,12 @@ class Stencil:
 
     def values(self) -> np.ndarray:
         """Interpolated values, (..., n, D)."""
-        weights = np.stack(_corner_weights(self.fu, self.fv), axis=1)
+        # Filled column by column: np.stack's bytes, without its cost on
+        # the solver's short arrays.
+        weights = np.empty((self.fu.shape[0], 4))
+        weights[:, 0], weights[:, 1], weights[:, 2], weights[:, 3] = _corner_weights(
+            self.fu, self.fv
+        )
         return np.einsum("nc,...ncd->...nd", weights, self.corners)
 
     def gradients(self) -> np.ndarray:
@@ -179,11 +184,12 @@ def gather_stencil(fmap: FeatureMap, queries: np.ndarray) -> Stencil:
         raise SampleOutOfBoundsError(
             f"query ({q[i, 0]:.3f}, {q[i, 1]:.3f}) outside margins of {w}x{h} map"
         )
-    return _stencil(fmap.values, q)
+    return _stencil(fmap.values, q[:, 0], q[:, 1])
 
 
-def _stencil(values: np.ndarray, q: np.ndarray) -> Stencil:
-    """Stencil of (h, w, D) ``values`` at (n, 2) float64 queries in [0, w-1] x [0, h-1].
+def _stencil(values: np.ndarray, u: np.ndarray, v: np.ndarray) -> Stencil:
+    """Stencil of (h, w, D) ``values`` at (n,) float64 query coordinates
+    ``(u, v)`` in [0, w-1] x [0, h-1].
 
     The stencil core, shared by ``gather_stencil``, the solver's residuals and
     ``synth.warp_scene``. Its cells come from ``_cells`` and its values'
@@ -191,11 +197,11 @@ def _stencil(values: np.ndarray, q: np.ndarray) -> Stencil:
     (``lm_align._valid_norms``) share.
     """
     h, w = values.shape[:2]
-    iu0, iv0, fu, fv = _cells(q[:, 0], q[:, 1], w, h)
+    iu0, iv0, fu, fv = _cells(u, v, w, h)
     # Flat cell ids of the four corners, in Stencil corner order.
     cells = (iv0 * w + iu0)[:, None] + (0, 1, w, w + 1)
-    # np.take copies the same bytes as ``flat[cells]`` far faster.
-    corners = np.take(values.reshape(h * w, -1), cells, axis=0).astype(np.float64)
+    # take copies the same bytes as ``flat[cells]`` far faster.
+    corners = values.reshape(h * w, -1).take(cells, axis=0).astype(np.float64)
     return Stencil(corners=corners, fu=fu, fv=fv, iu0=iu0, iv0=iv0)
 
 

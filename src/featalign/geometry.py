@@ -66,13 +66,15 @@ class SE3Pose:
         t = np.array(self.translation, dtype=np.float64)
         if r.shape != (3, 3) or t.shape != (3,):
             raise GeometryError(f"bad pose shapes {r.shape}, {t.shape}")
-        if not (np.isfinite(r).all() and np.isfinite(t).all()):
+        # The twelve entries as Python floats: one pass of math.isfinite
+        # costs less than np.isfinite on two small arrays.
+        (a, b, c), (d, e, f), (g, h, i) = r.tolist()
+        if not all(map(math.isfinite, (a, b, c, d, e, f, g, h, i, *t.tolist()))):
             raise GeometryError("pose contains non-finite entries")
         err = np.abs(r.T @ r - _EYE3).max()
         if err > _ORTHONORMAL_TOL:
             raise GeometryError(f"rotation not orthonormal (|R'R - I| = {err:.3e})")
         # Determinant by cofactors: within 1e-8 of +1 or -1 once R'R = I holds.
-        (a, b, c), (d, e, f), (g, h, i) = r.tolist()
         if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) < 0.0:
             raise GeometryError("rotation has negative determinant")
         r.flags.writeable = False
@@ -145,7 +147,10 @@ def _exp_arrays(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if d.shape != (6,):
         raise GeometryError(f"twist must have shape (6,), got {d.shape}")
     v, w = d[:3], d[3:]
-    theta = np.linalg.norm(w)
+    # np.linalg.norm(w)'s own 1-D formula, without its dispatch. np.sqrt
+    # keeps theta a NumPy float, whose theta**3 overflows to inf where a
+    # Python float would raise OverflowError.
+    theta = np.sqrt(w.dot(w))
     if not math.isfinite(theta):
         raise GeometryError("twist rotation is not finite")
     k = _skew(w)
@@ -159,8 +164,8 @@ def _exp_arrays(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a = math.sin(theta) / theta
         b = (1.0 - math.cos(theta)) / theta**2
         c = (theta - math.sin(theta)) / theta**3
-    rot = np.eye(3) + a * k + b * k2
-    vmat = np.eye(3) + b * k + c * k2
+    rot = _EYE3 + a * k + b * k2
+    vmat = _EYE3 + b * k + c * k2
     return rot, vmat @ v
 
 
@@ -223,15 +228,16 @@ def _project_planes(
 def _warp(
     points: np.ndarray, usable: np.ndarray, pose: SE3Pose,
     intrinsics: CameraIntrinsics, margin: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``warp_points`` of reference-frame points (n, 3) whose ``usable``
-    mask is known. Synthesis and the solver warp here, so they agree bit
+    mask is known, with the pixels as two (n,) arrays: ``(u, v, valid,
+    transformed)``. Synthesis and the solver warp here, so they agree bit
     for bit."""
     transformed = pose.transform(points)
     u, v, valid = _project_planes(
         usable, transformed[:, 0], transformed[:, 1], transformed[:, 2], intrinsics, margin
     )
-    return np.stack([u, v], axis=-1), valid, transformed
+    return u, v, valid, transformed
 
 
 def warp_points(
@@ -251,7 +257,8 @@ def warp_points(
     the projection lies outside the margin-shrunk image.
     """
     points = _unproject(pixels, depths, intrinsics)
-    return _warp(points, points[:, 2] > 0.0, pose, intrinsics, margin)
+    u, v, valid, transformed = _warp(points, points[:, 2] > 0.0, pose, intrinsics, margin)
+    return np.stack([u, v], axis=-1), valid, transformed
 
 
 def pose_twist_jacobian(

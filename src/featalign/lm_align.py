@@ -173,7 +173,8 @@ def _huber(norms: np.ndarray, gamma: float) -> np.ndarray:
 
 def huber_energy(norms: np.ndarray, gamma: float) -> float:
     """Sum of Huber penalties over per-point residual norms."""
-    return float(np.sum(_huber(norms, gamma)))
+    # np.sum's own reduction, without its dispatch.
+    return float(np.add.reduce(_huber(norms, gamma), axis=None))
 
 
 def huber_weights(norms: np.ndarray, gamma: float) -> np.ndarray:
@@ -239,18 +240,20 @@ def _check_pair(ref: FeatureMap, tgt: FeatureMap, intrinsics: CameraIntrinsics) 
 
 
 def _sample_valid(
-    ref_vals: np.ndarray, tgt: FeatureMap, warped: np.ndarray, valid: np.ndarray
-) -> tuple[np.ndarray, Stencil, np.ndarray]:
-    """Target stencil and residuals of the valid points of an (n,) mask.
+    ref_vals: np.ndarray, tgt: FeatureMap, u: np.ndarray, v: np.ndarray, valid: np.ndarray
+) -> tuple[np.ndarray, Stencil, np.ndarray, np.ndarray]:
+    """Target stencil, residuals and norms of the valid points of an (n,) mask.
 
-    ``warped`` (n, 2) holds target pixels and ``ref_vals`` (n, D) the
+    ``(u, v)`` (n,) hold target pixels and ``ref_vals`` (n, D) the
     reference samples. Returns the ascending ids of the valid points, their
-    stencil and their (k, D) residuals (``_check_pair``).
+    stencil, their (k, D) residuals and (k,) norms (``_check_pair``).
     """
-    # np.take moves the same bytes as boolean-mask indexing, faster.
+    # take moves the same bytes as boolean-mask indexing, faster.
     ids = np.flatnonzero(valid)
-    stencil = _stencil(tgt.values, np.take(warped, ids, axis=0))
-    return ids, stencil, stencil.values() - np.take(ref_vals, ids, axis=0)
+    stencil = _stencil(tgt.values, u.take(ids), v.take(ids))
+    res = stencil.values() - ref_vals.take(ids, axis=0)
+    # np.linalg.norm(res, axis=1)'s own formula, without its dispatch.
+    return ids, stencil, res, np.sqrt(np.add.reduce(res * res, axis=1))
 
 
 def _valid_norms(
@@ -274,7 +277,7 @@ def _valid_norms(
     """
     h, w = tgt.height, tgt.width
     flat = np.flatnonzero(valid)
-    iu0, iv0, fu, fv = _cells(np.take(u, flat), np.take(v, flat), w, h)
+    iu0, iv0, fu, fv = _cells(u.take(flat), v.take(flat), w, h)
     weights = _corner_weights(fu, fv)
     cell = iv0 * w + iu0
     planes = np.ascontiguousarray(tgt.values.reshape(h * w, -1).T, dtype=np.float64)
@@ -285,10 +288,10 @@ def _valid_norms(
     for plane, ref_plane in zip(planes, np.ascontiguousarray(ref_vals.T)):
         # A plane viewed from offset o reads cell + o, so one cell id array
         # serves all four corners.
-        res = weights[0] * np.take(plane, cell)
+        res = weights[0] * plane.take(cell)
         for weight, offset in zip(weights[1:], (1, w, w + 1)):
-            res += weight * np.take(plane[offset:], cell)
-        res -= np.take(ref_plane, ids)
+            res += weight * plane[offset:].take(cell)
+        res -= ref_plane.take(ids)
         squares += res * res
     norms = np.zeros(valid.shape)
     norms.reshape(-1)[flat] = np.sqrt(squares)
@@ -316,11 +319,10 @@ def _evaluate(
 ) -> _ValidEval:
     """``compute_residuals``' rows whose mask is set, bit for bit, without
     the zero-padded (n, ...) arrays the solver would only skip again."""
-    warped, valid, transformed = _warp(level.points, level.usable, pose, intrinsics, margin)
-    ids, stencil, res = _sample_valid(level.ref_vals, tgt, warped, valid)
-    norms = np.linalg.norm(res, axis=1)
+    u, v, valid, transformed = _warp(level.points, level.usable, pose, intrinsics, margin)
+    ids, stencil, res, norms = _sample_valid(level.ref_vals, tgt, u, v, valid)
     return _ValidEval(
-        ids, stencil, res, norms, np.take(transformed, ids, axis=0),
+        ids, stencil, res, norms, transformed.take(ids, axis=0),
         huber_energy(norms, huber_gamma),
     )
 
@@ -347,14 +349,16 @@ def compute_residuals(
     _check_margin(margin)
     _check_pair(ref, tgt, intrinsics)
     level = _level_inputs(ref, uv, depths, intrinsics)
-    warped, valid, transformed = _warp(level.points, level.usable, pose, intrinsics, margin)
-    ids, stencil, res = _sample_valid(level.ref_vals, tgt, warped, valid)
+    u, v, valid, transformed = _warp(level.points, level.usable, pose, intrinsics, margin)
+    ids, stencil, res, norms = _sample_valid(level.ref_vals, tgt, u, v, valid)
     residuals = np.zeros((valid.shape[0], tgt.channels))
     residuals[ids] = res
-    norms = np.zeros(valid.shape[0])
-    norms[ids] = np.linalg.norm(res, axis=1)
-    energy = huber_energy(norms[ids], huber_gamma)
-    return ResidualEval(residuals, valid, norms, energy, warped, transformed, stencil)
+    padded = np.zeros(valid.shape[0])
+    padded[ids] = norms
+    return ResidualEval(
+        residuals, valid, padded, huber_energy(norms, huber_gamma),
+        np.stack([u, v], axis=-1), transformed, stencil,
+    )
 
 
 def _stencil_jacobian(
@@ -407,17 +411,24 @@ def build_normal_equations(
     return h, b
 
 
-def damp(h: np.ndarray, lam: float, mode: str) -> np.ndarray:
-    """Apply damping: lam * I (levenberg) or lam * diag(H) (marquardt).
+def _damping_matrix(h: np.ndarray, mode: str) -> np.ndarray:
+    """The matrix ``damp`` scales by lambda: I (levenberg) or diag(H)
+    (marquardt). It depends on H only, so the solver builds it once per
+    system and reuses it for every damping retry.
 
     Marquardt diagonal entries are floored at 1e-12 so a dead parameter
     direction still receives some damping.
     """
     if mode == "levenberg":
-        return h + lam * np.eye(6)
+        return np.eye(6)
     if mode == "marquardt":
-        return h + lam * np.diag(np.maximum(np.diag(h), 1e-12))
+        return np.diag(np.maximum(np.diag(h), 1e-12))
     raise AlignmentError(f"unknown damping mode {mode!r}")
+
+
+def damp(h: np.ndarray, lam: float, mode: str) -> np.ndarray:
+    """Apply damping: H + lam * I (levenberg) or H + lam * diag(H) (marquardt)."""
+    return h + lam * _damping_matrix(h, mode)
 
 
 def solve_step(h_damped: np.ndarray, b: np.ndarray, cond_max: float = 1e12) -> np.ndarray:
@@ -546,7 +557,7 @@ def align_level(
 
     stats.initial_energy = current.energy
     system_fresh = False
-    h = b = None
+    h = b = damping = None
 
     for it in range(config.max_iters_per_level):
         if lam > config.lambda_max:
@@ -556,6 +567,7 @@ def align_level(
             jac = _stencil_jacobian(current.stencil, current.transformed, intrinsics)
             weights = huber_weights(current.norms, config.huber_gamma)
             h, b = build_normal_equations(jac, current.residuals, weights)
+            damping = _damping_matrix(h, config.damping)
             system_fresh = True
 
         stats.iterations += 1
@@ -572,7 +584,7 @@ def align_level(
         stats.trace.append(rec)
 
         try:
-            delta = solve_step(damp(h, lam, config.damping), b, config.cond_max)
+            delta = solve_step(h + lam * damping, b, config.cond_max)
         except DegenerateSystemError as exc:
             lam *= LAMBDA_FAILURE_MULT
             stats.rejected += 1
@@ -580,7 +592,8 @@ def align_level(
             rec.note = f"degenerate: {exc}"
             continue
 
-        step_norm = float(np.linalg.norm(delta))
+        # np.linalg.norm(delta)'s own 1-D formula, without its dispatch.
+        step_norm = math.sqrt(delta.dot(delta))
         rec.step_norm = step_norm
         if step_norm < config.step_norm_eps:
             stats.termination = "step_norm"

@@ -255,7 +255,7 @@ def _grid_bounds(
         turns, turn_of_row = np.unique(rot_index[rows], return_inverse=True)
         planes = (points @ rotations[turns].transpose(0, 2, 1)).transpose(2, 0, 1)
         t = translations[rows]
-        x, y, z = (np.take(planes[c], turn_of_row, axis=0) + t[:, c, None] for c in range(3))
+        x, y, z = (planes[c].take(turn_of_row, axis=0) + t[:, c, None] for c in range(3))
         u, v, valid = _project_planes(usable, x, y, z, k1, lm_config.margin)
         norms = _valid_norms(ref_vals, tgt_l1, u, v, valid)
         sums = _huber(norms, lm_config.huber_gamma).sum(axis=1)

@@ -305,7 +305,7 @@ def warp_scene(scene: SyntheticScene, pose: SE3Pose) -> WarpedView:
     image = np.zeros(h * w)
     # Valid pixels reach _EDGE_EPS below 0; the stencil core clamps only the high edges.
     queries = np.maximum(warped[valid], 0.0)
-    image[valid] = _stencil(scene.texture[:, :, None], queries).values()[:, 0]
+    image[valid] = _stencil(scene.texture[:, :, None], queries[:, 0], queries[:, 1]).values()[:, 0]
     return WarpedView(
         image=image.reshape(h, w),
         valid=valid.reshape(h, w),
@@ -330,8 +330,17 @@ def sample_pose_perturbation(rng, magnitude_class: str, scene: SyntheticScene) -
     Twists are uniform in a per-class box; draws outside the flow bracket
     or with insufficient overlap are rejected and redrawn.
     """
+    return _sample_pose_view(rng, magnitude_class, scene)[0]
+
+
+def _sample_pose_view(
+    rng, magnitude_class: str, scene: SyntheticScene
+) -> tuple[SE3Pose, WarpedView | None]:
+    """``sample_pose_perturbation``'s pose and the ``warp_scene`` view its
+    overlap check made, so the caller need not warp the pose again. The
+    "zero" class draws nothing and warps nothing: its view is None."""
     if magnitude_class == "zero":
-        return SE3Pose.identity()
+        return SE3Pose.identity(), None
     if magnitude_class not in FLOW_CLASSES:
         raise PoseSampleError(f"unknown magnitude class: {magnitude_class!r}")
     lo, hi = FLOW_CLASSES[magnitude_class]
@@ -346,10 +355,10 @@ def sample_pose_perturbation(rng, magnitude_class: str, scene: SyntheticScene) -
             continue
         # warp_scene enforces the overlap precondition; reuse its check.
         try:
-            warp_scene(scene, pose)
+            view = warp_scene(scene, pose)
         except LowOverlapError:
             continue
-        return pose
+        return pose, view
     raise PoseSampleError(
         f"no {magnitude_class}-class pose found in {_POSE_TRIES} draws"
     )
@@ -443,15 +452,19 @@ def build_pair(
     n_points: int = 64,
     photometric: PhotometricParams | None = None,
     seed: int = 0,
+    view: WarpedView | None = None,
 ) -> BenchmarkPair:
     """Assemble a benchmark pair with exact ground-truth consistency.
 
     Without photometric perturbation the energy at the ground-truth pose is
     float32 rounding, about 1e-14, at every pyramid level. Perturbations
     are applied to the target texture only, so the clean-geometry pathway
-    stays intact while appearance robustness can be probed.
+    stays intact while appearance robustness can be probed. ``view`` is
+    ``warp_scene(scene, pose)`` when the caller has it already; without it
+    the pose is warped here.
     """
-    view = warp_scene(scene, pose)
+    if view is None:
+        view = warp_scene(scene, pose)
 
     clean_pyramid = tgt_pyramid = build_baseline_pyramid(scene.texture)
     if photometric is not None and not photometric.is_identity():
@@ -558,7 +571,7 @@ def generate_pair(config: DatasetConfig, index: int) -> BenchmarkPair:
     for attempt in range(PAIR_ATTEMPTS):
         scene_rng, pose_rng, select_rng = _pair_streams(config.base_seed, index, attempt)
         scene = generate_scene(scene_rng, config.scene, seed=index)
-        pose = sample_pose_perturbation(pose_rng, magnitude_class, scene)
+        pose, view = _sample_pose_view(pose_rng, magnitude_class, scene)
         try:
             return build_pair(
                 scene,
@@ -568,6 +581,7 @@ def generate_pair(config: DatasetConfig, index: int) -> BenchmarkPair:
                 n_points=config.n_points,
                 photometric=config.photometric,
                 seed=index,
+                view=view,
             )
         except TooFewPointsError as exc:
             error = exc

@@ -37,12 +37,11 @@ from .synth import (
     SceneConfig,
     SynthError,
     SyntheticScene,
+    _sample_pose_view,
     generate_scene,
     mean_flow,
     pixel_grid,
-    sample_pose_perturbation,
     select_sparse_points,
-    warp_scene,
 )
 
 
@@ -186,8 +185,7 @@ def make_toy_training_set(
     pairs = []
     while len(pairs) < n_pairs:
         magnitude = "small" if len(pairs) % 2 == 0 else "medium"
-        pose = sample_pose_perturbation(rng, magnitude, scene)
-        view = warp_scene(scene, pose)
+        pose, view = _sample_pose_view(rng, magnitude, scene)
 
         # warp_points' WARP_MARGIN covers gather_stencil's SAMPLE_MARGIN.
         warped, valid, _ = warp_points(grid_uv, grid_depth, pose, k)

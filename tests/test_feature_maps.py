@@ -120,7 +120,7 @@ class TestStencilGather:
             [[0.0, 0.0], [3.0, 5.0], [w - 2, h - 2]],  # integer nodes
             [[w - 1, h - 1], [w - 1, 2.5], [4.25, h - 1]],  # clamped to the last cell
         ])
-        st = _stencil(values, q)
+        st = _stencil(values, q[:, 0], q[:, 1])
         expected = self.fancy_index_corners(values, q)
         assert st.corners.dtype == np.float64 and st.corners.shape == (len(q), 4, d)
         assert st.corners.tobytes() == expected.tobytes()
@@ -131,7 +131,7 @@ class TestStencilGather:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_zero_queries_give_empty_float64_corners(self, d):
         values = np.ones((6, 7, d), dtype=np.float32)
-        st = _stencil(values, np.zeros((0, 2)))
+        st = _stencil(values, np.zeros(0), np.zeros(0))
         assert st.corners.shape == (0, 4, d) and st.corners.dtype == np.float64
         assert gather_stencil(FeatureMap(values), np.zeros((0, 2))).values().shape == (0, d)
 

@@ -8,13 +8,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from featalign import geometry
 from featalign.geometry import (
+    SMALL_ANGLE,
     CameraIntrinsics,
     GeometryError,
     PoseFormatError,
     SE3Pose,
+    _exp_arrays,
     boxplus,
     format_pose_text,
     parse_pose_text,
@@ -160,6 +165,79 @@ class TestBoxplus:
         d_fine = defect(1e-3)
         assert d_fine < 1e-4
         assert d_coarse / d_fine > 30.0
+
+
+def _exp_arrays_oracle(delta):
+    """``_exp_arrays`` as first written: theta from ``np.linalg.norm`` and
+    fresh ``np.eye(3)`` identities. The map's own coefficients and
+    products are shared, so any difference is the theta or the identity."""
+    d = np.asarray(delta, dtype=np.float64)
+    v, w = d[:3], d[3:]
+    theta = np.linalg.norm(w)
+    if not math.isfinite(theta):
+        raise GeometryError("twist rotation is not finite")
+    k = geometry._skew(w)
+    k2 = k @ k
+    if theta < SMALL_ANGLE:
+        a = 1.0 - theta**2 / 6.0
+        b = 0.5 - theta**2 / 24.0
+        c = 1.0 / 6.0 - theta**2 / 120.0
+    else:
+        a = math.sin(theta) / theta
+        b = (1.0 - math.cos(theta)) / theta**2
+        c = (theta - math.sin(theta)) / theta**3
+    return np.eye(3) + a * k + b * k2, (np.eye(3) + b * k + c * k2) @ v
+
+
+class TestExpMapTheta:
+    """theta is ``math.sqrt(w.dot(w))``, ``np.linalg.norm``'s own 1-D formula.
+    ``TestBoxplus.test_bit_identical_to_exp_then_compose`` cannot see a
+    change of theta: both of its sides go through ``_exp_arrays``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        # |omega| from a tenth to ten times SMALL_ANGLE, across the branch switch.
+        log_ratio=st.floats(-1.0, 1.0),
+        far=st.sampled_from([None, 1e-300, 1e-20, 1e-3, 1.0, 3.0, 1e3, 1e150]),
+        strided=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_linalg_norm_formula(self, log_ratio, far, strided, seed):
+        rng = np.random.default_rng(seed)
+        axis = rng.normal(size=3)
+        angle = SMALL_ANGLE * 10.0**log_ratio if far is None else far
+        delta = np.concatenate([rng.normal(size=3), angle * axis / np.linalg.norm(axis)])
+        if strided:
+            buffer = np.zeros(12)
+            buffer[::2] = delta
+            delta = buffer[::2]
+        with np.errstate(over="ignore"):  # theta**3 overflows to inf at 1e150
+            rot, trans = _exp_arrays(delta)
+            want_rot, want_trans = _exp_arrays_oracle(delta)
+        assert rot.tobytes() == want_rot.tobytes()
+        assert trans.tobytes() == want_trans.tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        where=st.integers(0, 5),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf, 1.5e154, -1e200, 1.7e308]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_non_finite_and_overflowing_twists_raise(self, where, bad, seed):
+        delta = np.random.default_rng(seed).uniform(-1.0, 1.0, size=6)
+        delta[where] = bad
+        if math.isfinite(bad) and where < 3:
+            # A huge finite translation is a pose; |omega| must overflow.
+            delta[3 + where] = bad
+        pose = se3_exp(np.array([0.1, 0.2, 0.3, 0.01, 0.02, 0.03]))
+        with np.errstate(all="ignore"):
+            with pytest.raises(GeometryError):
+                se3_exp(delta)
+            with pytest.raises(GeometryError):
+                boxplus(delta, pose)
+            with pytest.raises(GeometryError):
+                step = _exp_arrays_oracle(delta)
+                SE3Pose(*step)
 
 
 class TestProjection:
@@ -355,6 +433,34 @@ class TestSE3PoseValidation:
         (r if where == "rotation" else t)[0] = value
         with pytest.raises(GeometryError, match="non-finite"):
             SE3Pose(r, t)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.integers(0, 11),
+                st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e-300, 0.5]),
+            ),
+            max_size=3,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_refuses_exactly_the_non_finite_entries(self, entries, seed):
+        # The finiteness check reads Python floats; it must refuse exactly
+        # what np.isfinite over both arrays refuses, with the same message.
+        rng = np.random.default_rng(seed)
+        r = se3_exp(rng.uniform(-1.0, 1.0, size=6)).rotation.copy()
+        t = rng.uniform(-5.0, 5.0, size=3)
+        for index, value in entries:
+            (r.reshape(-1) if index < 9 else t)[index % 9 if index < 9 else index - 9] = value
+        non_finite = not (np.isfinite(r).all() and np.isfinite(t).all())
+        with np.errstate(all="ignore"):
+            try:
+                SE3Pose(r, t)
+                refused = None
+            except GeometryError as exc:
+                refused = str(exc)
+        assert (refused == "pose contains non-finite entries") == non_finite
 
     def test_arrays_are_read_only(self):
         pose = SE3Pose.identity()

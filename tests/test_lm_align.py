@@ -29,13 +29,16 @@ from featalign.geometry import (
     se3_exp,
     warp_points,
 )
+from featalign import lm_align
 from featalign.lm_align import (
     AlignmentError,
     DegenerateSystemError,
     LMConfig,
     PointFileError,
     SparsePointSet,
+    _damping_matrix,
     _evaluate,
+    _huber,
     _level_inputs,
     _stencil_jacobian,
     _valid_norms,
@@ -288,13 +291,113 @@ class TestPerLevelKernel:
         assert warp_only > 0
 
 
+class TestTrimmedFormulas:
+    """The solver's norms, energy and damping against the NumPy formulas
+    they spell out, byte for byte: ``np.linalg.norm(res, axis=1)``,
+    ``np.sum`` of the Huber penalties and the Marquardt floor as ``damp``
+    first wrote it."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        channels=st.integers(1, 8),
+        points=st.integers(0, 40),
+        scale=st.sampled_from([1e-30, 1e-3, 1.0, 1e3, 1e30]),
+        shift=st.sampled_from([0.0, 0.1, 100.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_norms_and_energy_match_linalg_norm(self, channels, points, scale, shift, seed):
+        rng = np.random.default_rng(seed)
+        k = CameraIntrinsics(fx=16.0, fy=16.0, cx=8.0, cy=8.0, width=16, height=16)
+        ref = FeatureMap(scale * rng.normal(size=(16, 16, channels)))
+        tgt = FeatureMap(scale * rng.normal(size=(16, 16, channels)))
+        uv = rng.uniform(0.0, 15.0, size=(points, 2))
+        depths = rng.uniform(1.0, 3.0, size=points)
+        # A shift of 100 moves every point out of the image: zero valid points.
+        pose = SE3Pose(se3_exp(rng.uniform(-0.05, 0.05, size=6)).rotation, [shift, 0.0, 0.0])
+        level = _level_inputs(ref, uv, depths, k)
+        gamma = float(rng.choice([1e-3, 0.3, 1e3])) * scale
+        got = _evaluate(level, tgt, pose, k, gamma, 2.0)
+        norms = np.linalg.norm(got.residuals, axis=1)
+        assert got.norms.tobytes() == norms.tobytes()
+        assert got.energy == float(np.sum(_huber(norms, gamma)))
+        if shift == 100.0:
+            assert got.n_valid == 0 and got.energy == 0.0
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        lam=st.sampled_from([0.0, 1e-12, 0.1, 0.4, 3.0, 1e8]),
+        dead=st.integers(0, 6),
+        scale=st.sampled_from([1e-9, 1.0, 1e9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_damping_matrix_matches_the_marquardt_formula(self, lam, dead, scale, seed):
+        rng = np.random.default_rng(seed)
+        a = scale * rng.normal(size=(20, 6))
+        a[:, rng.permutation(6)[:dead]] = 0.0  # dead directions hit the 1e-12 floor
+        h = a.T @ a
+        want = h + lam * np.diag(np.maximum(np.diag(h), 1e-12))
+        assert (h + lam * _damping_matrix(h, "marquardt")).tobytes() == want.tobytes()
+        assert damp(h, lam, "marquardt").tobytes() == want.tobytes()
+        assert damp(h, lam, "levenberg").tobytes() == (h + lam * np.eye(6)).tobytes()
+
+
+class TestPerLayerCalls:
+    """perfbench times ``boxplus``, ``build_normal_equations`` and
+    ``solve_step`` through ``lm_align``'s bindings. One ``align_level`` run
+    must call them as its trace says, so a kernel that stops going through
+    them fails here before their per-layer figures read zero."""
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = dict.fromkeys(("boxplus", "build_normal_equations", "solve_step"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(lm_align, name, counted(name, getattr(lm_align, name)))
+        return calls
+
+    @pytest.mark.parametrize(
+        "case", ["rejections", "max_iters", "degenerate_solves", "lambda_cap"]
+    )
+    def test_call_counts_follow_the_trace(self, monkeypatch, case):
+        ref, tgt, uv, depths, poses = TestPerLevelKernel._scene()
+        pose, config = poses[3], LMConfig()
+        if case == "max_iters":
+            pose = se3_exp(np.array([0.1, -0.1, 0.0, 0.05, -0.05, 0.1]))
+        elif case == "degenerate_solves":
+            config = LMConfig(damping="levenberg", cond_max=50.0)
+        elif case == "lambda_cap":
+            ref, tgt, uv, depths = _margin_pinned_scenario()
+            pose = SE3Pose.identity()
+            config = LMConfig(damping="levenberg", min_valid_points=len(uv))
+        calls = self._count_calls(monkeypatch)
+        _, stats = align_level(ref, tgt, uv, depths, pose, _K64(), config)
+        trace = stats.trace
+        assert stats.rejected > 0
+        if case in ("max_iters", "lambda_cap"):
+            assert stats.termination == case
+        if case == "degenerate_solves":
+            assert any(rec.note.startswith("degenerate") for rec in trace)
+        # One solve per iteration, raising or not.
+        assert calls["solve_step"] == stats.iterations == len(trace) > 0
+        # One system for the first iteration and one after each accepted step.
+        assert calls["build_normal_equations"] == 1 + sum(rec.accepted for rec in trace[:-1])
+        # One boxplus per candidate.
+        assert calls["boxplus"] == sum(rec.candidate_energy is not None for rec in trace)
+
+
 def stencil_norms_oracle(ref_vals, tgt, u, v, valid):
     """The seed's residual norms over the solver's stencil path, as
     ``_valid_norms`` computed them before it read one channel plane at a
     time: ``_stencil``'s (k, 4, D) corners, ``Stencil.values()``' einsum and
     ``np.linalg.norm``. Also returns the stencil and the reference rows."""
     flat = np.flatnonzero(valid)
-    stencil = _stencil(tgt.values, np.stack([u, v], axis=-1).reshape(-1, 2)[flat])
+    stencil = _stencil(tgt.values, u.reshape(-1)[flat], v.reshape(-1)[flat])
     ref = ref_vals[flat % valid.shape[-1]]
     norms = np.zeros(valid.shape)
     norms.reshape(-1)[flat] = np.linalg.norm(stencil.values() - ref, axis=1)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from featalign import synth, toy_train
 from featalign.feature_maps import (
     PYRAMID_LEVELS,
     SAMPLE_MARGIN,
@@ -40,6 +41,7 @@ from featalign.synth import (
     select_sparse_points,
     warp_scene,
 )
+from featalign.toy_train import make_toy_training_set
 
 
 def _default_scene(seed=0):
@@ -213,6 +215,64 @@ class TestPoseSampling:
         scene = _default_scene(16)
         with pytest.raises(PoseSampleError):
             sample_pose_perturbation(np.random.default_rng(0), "huge", scene)
+
+
+class TestOneWarpPerPose:
+    """The overlap check's ``warp_scene`` view is the one a pair is built
+    from: no drawn pose is warped twice, and the pairs keep their bytes."""
+
+    @staticmethod
+    def _record_warps(monkeypatch):
+        warped = []
+        real = synth.warp_scene
+
+        def recording(scene, pose):
+            view = real(scene, pose)  # LowOverlapError draws are not recorded
+            warped.append(pose.matrix34().tobytes())
+            return view
+
+        # Any module binding of warp_scene; toy_train may hold its own.
+        for module in (synth, toy_train):
+            monkeypatch.setattr(module, "warp_scene", recording, raising=False)
+        return warped
+
+    def test_dataset_pairs_warp_each_pose_once(self, monkeypatch):
+        cfg = DatasetConfig(out_dir="unused", n_pairs=3, base_seed=11)
+        warped = self._record_warps(monkeypatch)
+        poses = [generate_pair(cfg, index).gt_pose.matrix34().tobytes() for index in range(3)]
+        assert set(poses) <= set(warped)
+        assert len(warped) == len(set(warped))
+
+    def test_dataset_pairs_equal_a_second_warp(self):
+        cfg = DatasetConfig(out_dir="unused", n_pairs=3, base_seed=11)
+        for index in range(3):
+            scene_rng, pose_rng, select_rng = synth._pair_streams(cfg.base_seed, index, 0)
+            scene = generate_scene(scene_rng, cfg.scene, seed=index)
+            cls = cfg.classes[index % len(cfg.classes)]
+            pose = sample_pose_perturbation(pose_rng, cls, scene)
+            # Without a view, build_pair warps the pose again itself.
+            want = build_pair(scene, pose, select_rng, magnitude_class=cls, seed=index)
+            got = generate_pair(cfg, index)
+            for name in ("correspondence", "valid"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert got.points.uv.tobytes() == want.points.uv.tobytes()
+            assert got.gt_pose.matrix34().tobytes() == want.gt_pose.matrix34().tobytes()
+            for a, b in zip(got.ref_pyramid.levels, want.ref_pyramid.levels):
+                assert a.values.tobytes() == b.values.tobytes()
+
+    def test_zero_class_warps_once_in_build_pair(self, monkeypatch):
+        scene = _default_scene(10)
+        warped = self._record_warps(monkeypatch)
+        pose, view = synth._sample_pose_view(np.random.default_rng(0), "zero", scene)
+        assert view is None and not warped
+        build_pair(scene, pose, np.random.default_rng(1), magnitude_class="zero")
+        assert len(warped) == 1
+
+    def test_toy_training_set_warps_each_pose_once(self, monkeypatch):
+        warped = self._record_warps(monkeypatch)
+        ts = make_toy_training_set(seed=2, n_pairs=4, eval_offsets=1)
+        assert {p.gt_pose.matrix34().tobytes() for p in ts.pairs} <= set(warped)
+        assert len(warped) == len(set(warped))
 
 
 class TestPhotometric:
