@@ -412,7 +412,7 @@ def build_normal_equations(
 
 
 def _damping_matrix(h: np.ndarray, mode: str) -> np.ndarray:
-    """The matrix ``damp`` scales by lambda: I (levenberg) or diag(H)
+    """M of the damped system H + lambda * M: I (levenberg) or diag(H)
     (marquardt). It depends on H only, so the solver builds it once per
     system and reuses it for every damping retry.
 
@@ -424,11 +424,6 @@ def _damping_matrix(h: np.ndarray, mode: str) -> np.ndarray:
     if mode == "marquardt":
         return np.diag(np.maximum(np.diag(h), 1e-12))
     raise AlignmentError(f"unknown damping mode {mode!r}")
-
-
-def damp(h: np.ndarray, lam: float, mode: str) -> np.ndarray:
-    """Apply damping: H + lam * I (levenberg) or H + lam * diag(H) (marquardt)."""
-    return h + lam * _damping_matrix(h, mode)
 
 
 def solve_step(h_damped: np.ndarray, b: np.ndarray, cond_max: float = 1e12) -> np.ndarray:

@@ -14,6 +14,11 @@ normal equations of the alignment update:
 ``TERMS`` pairs each term with its weight and target samples, and ``_term``
 holds its formula over bilinear stencils, so the training gradient is a
 central difference per stored cell that re-evaluates only touched samples.
+``loss_gradient_fd`` takes every pair of a training step at once: it
+stacks the pairs' batch rows against the one target map, gathers each
+term's stencil once, and returns each pair's loss breakdown (the bits of
+``total_loss``) with the in-order sum of the pairs' gradients (the bits of
+summing one-pair calls).
 
 Sign convention: the per-point right-hand side is b = -J^T r, as in
 ``lm_align.build_normal_equations``, so the update step
@@ -119,12 +124,31 @@ class CorrespondenceBatch:
 # ---------------------------------------------------------------------------
 
 
+def _sum_products(a, b):
+    """Sum over the last axis of ``a * b``, product by product from +0.0:
+    the bits of the einsum that contracts a non-innermost axis, without
+    its cost on stacked operands."""
+    acc = a[..., 0] * b[..., 0]
+    acc += 0.0  # as einsum's zero start, which turns a -0.0 into +0.0
+    for k in range(1, a.shape[-1]):
+        acc += a[..., k] * b[..., k]
+    return acc
+
+
 def _gn_pieces(st: Stencil, f_ref):
     """Residual, 2x2 Hessian and rhs for every row of a target stencil."""
     jac = st.gradients()                          # (..., n, D, 2)
     res = st.values() - f_ref                     # (..., n, D)
-    hess = np.einsum("...ndi,...ndj->...nij", jac, jac)  # (..., n, 2, 2)
-    rhs = -np.einsum("...ndi,...nd->...ni", jac, res)    # (..., n, 2)
+    ju, jv = jac[..., 0], jac[..., 1]
+    # J^T J and -J^T r, as einsum("...ndi,...ndj->...nij") and
+    # -einsum("...ndi,...nd->...ni") give them.
+    hess = np.empty(res.shape[:-1] + (2, 2))      # (..., n, 2, 2)
+    hess[..., 0, 0] = _sum_products(ju, ju)
+    hess[..., 0, 1] = hess[..., 1, 0] = _sum_products(ju, jv)
+    hess[..., 1, 1] = _sum_products(jv, jv)
+    rhs = np.empty(res.shape[:-1] + (2,))         # (..., n, 2)
+    rhs[..., 0] = -_sum_products(ju, res)
+    rhs[..., 1] = -_sum_products(jv, res)
     return res, jac, hess, rhs
 
 
@@ -156,8 +180,15 @@ def _term(name: str, st: Stencil, f_ref, batch, config) -> np.ndarray:
         before = np.einsum("ni,ni->n", uv - gt_uv, uv - gt_uv)
         return np.maximum(gain - before + config.gd_margin, 0.0)
     after = uv + _solve_2x2(hess, config.epsilon, rhs)
+    # diff^T H diff, summed as einsum("...ni,...nij,...nj->...n") sums it;
+    # its zero start changes nothing, as H[0, 0] >= 0 keeps the first
+    # product from being -0.0.
     diff = after - gt_uv
-    quad = 0.5 * np.einsum("...ni,...nij,...nj->...n", diff, hess, diff)
+    d0, d1 = diff[..., 0], diff[..., 1]
+    quad = 0.5 * (
+        d0 * hess[..., 0, 0] * d0 + d0 * hess[..., 0, 1] * d1
+        + d1 * hess[..., 1, 0] * d0 + d1 * hess[..., 1, 1] * d1
+    )
     det = hess[..., 0, 0] * hess[..., 1, 1] - hess[..., 0, 1] * hess[..., 1, 0]
     return quad + LOG_TWO_PI - 0.5 * np.log(np.maximum(det, DET_FLOOR))
 
@@ -236,9 +267,9 @@ def batch_terms(ref_map: FeatureMap, tgt_map: FeatureMap, batch, config) -> dict
     }
 
 
-def total_loss(ref_map, tgt_map, batch, config) -> tuple[float, dict]:
-    """Weighted sum of the four per-term means, with the breakdown."""
-    terms = batch_terms(ref_map, tgt_map, batch, config)
+def _breakdown(terms: dict, config) -> tuple[float, dict]:
+    """Weighted sum of the per-term means of ``terms`` (name -> per-row
+    values of one batch), with the breakdown."""
     breakdown = {name: float(values.mean()) for name, values in terms.items()}
     total = sum(
         getattr(config, weight) * breakdown[name] for name, (weight, _) in TERMS.items()
@@ -247,47 +278,71 @@ def total_loss(ref_map, tgt_map, batch, config) -> tuple[float, dict]:
     return float(total), breakdown
 
 
+def total_loss(ref_map, tgt_map, batch, config) -> tuple[float, dict]:
+    """Weighted sum of the four per-term means, with the breakdown."""
+    return _breakdown(batch_terms(ref_map, tgt_map, batch, config), config)
+
+
 # ---------------------------------------------------------------------------
 # Finite-difference training gradient.
 # ---------------------------------------------------------------------------
 
 
 def loss_gradient_fd(
-    ref_map: FeatureMap,
+    f_refs,
     params: np.ndarray,
-    batch: CorrespondenceBatch,
+    batches,
     config: LossConfig,
     step: float = FD_STEP,
-) -> np.ndarray:
-    """Central-difference gradient of total_loss w.r.t. target map cells.
+) -> tuple[np.ndarray, list]:
+    """Each pair's ``total_loss`` and the sum of their central-difference
+    gradients w.r.t. target map cells, in one pass.
 
-    ``params`` is the float64 master copy of the learnable target map. The
-    loss is evaluated on the float32 FeatureMap cast of it, so every bumped
-    corner value is cast to float32 too: each difference measures the same
-    perturbation as rebuilding the map around the bumped cell would.
+    Pair p has the batch ``batches[p]`` and the reference features
+    ``f_refs[p]`` (n_p, D) at its ``ref_uv``; all pairs read one target
+    map, whose float64 master copy is ``params``. The loss is evaluated on
+    the float32 FeatureMap cast of it, so every bumped corner value is cast
+    to float32 too: each difference measures the same perturbation as
+    rebuilding the map around the bumped cell would.
 
-    Per bumped cell, only the loss terms whose interpolation stencil
+    Returns ``(grad, losses)``. ``losses[p]`` is pair p's ``(total,
+    breakdown)``, bit for bit ``total_loss``'s, from the unbumped rows.
+    ``grad`` is bit for bit the in-order sum of one-pair calls: each row's
+    difference is scaled by its own pair's 1 / n_p and lands in its pair's
+    plane of a (pairs, h, w, d) array, so each cell sums its contributions
+    term by term, corner by corner, then row by row, as with that pair alone.
+
+    The pairs' N rows are stacked, so each term's target stencil is
+    gathered once. Per bumped cell, only the loss terms whose stencil
     contains that cell are re-evaluated; terms elsewhere cancel in the
-    central difference. The (sign, corner, channel) bumps are stacked
-    ahead of the rows of one (2, 4, d, n, 4, D) stencil, so every term is
+    central difference. The (sign, corner, channel) bumps are stacked ahead
+    of the rows of one (2, 4, d, N, 4, D) stencil, so every weighted term is
     evaluated once by ``_term`` over all 8 * d bumps.
     """
     params = np.asarray(params, dtype=np.float64)
     d = params.shape[2]
-    grad = np.zeros_like(params)
+    sizes = [len(batch) for batch in batches]
+    batch = CorrespondenceBatch(**{
+        name: np.concatenate([getattr(b, name) for b in batches])
+        for name in CorrespondenceBatch.__dataclass_fields__
+    })
+    f_ref = np.concatenate(f_refs)
+    pair = np.repeat(np.arange(len(sizes)), sizes)
+    # 2 * step * n_p per row, as one pair's scalar divisor.
+    scale = 2.0 * step * np.repeat(sizes, sizes)
+    grads = np.zeros((len(sizes),) + params.shape)
 
     tgt_map = FeatureMap(params)
-    n = len(batch)
-    f_ref = gather_stencil(ref_map, batch.ref_uv).values()
-
     corner = np.arange(4)[:, None]
     chan = np.arange(d)[None, :]
+    terms = {}
     for name, (weight_field, field) in TERMS.items():
+        st = gather_stencil(tgt_map, getattr(batch, field))
+        terms[name] = _term(name, st, f_ref, batch, config)
         weight = getattr(config, weight_field)
         if weight == 0.0:
             continue
-        st = gather_stencil(tgt_map, getattr(batch, field))
-        # Row and column of each corner's cell, (n, 4) in Stencil corner order.
+        # Row and column of each corner's cell, (N, 4) in Stencil corner order.
         iv = st.iv0[:, None] + (0, 0, 1, 1)
         iu = st.iu0[:, None] + (0, 1, 0, 1)
         base = params[iv, iu].transpose(1, 2, 0)  # (corner, channel, row)
@@ -297,8 +352,17 @@ def loss_gradient_fd(
         bumped[0, corner, chan, :, corner, chan] = np.float32(base + step)
         bumped[1, corner, chan, :, corner, chan] = np.float32(base - step)
         values = _term(name, Stencil(bumped, st.fu, st.fv, st.iu0, st.iv0), f_ref, batch, config)
-        contrib = weight * (values[0] - values[1]) / (2.0 * step * n)
+        contrib = weight * (values[0] - values[1]) / scale
         # Indexed in (corner, channel, row) order, so every cell sums its
         # contributions corner by corner, then row by row.
-        np.add.at(grad, (iv.T[:, None, :], iu.T[:, None, :], chan[:, :, None]), contrib)
-    return grad
+        np.add.at(grads, (pair, iv.T[:, None, :], iu.T[:, None, :], chan[:, :, None]), contrib)
+
+    grad = np.zeros_like(params)
+    for plane in grads:
+        grad += plane
+    ends = np.cumsum(sizes)
+    losses = [
+        _breakdown({name: values[end - n:end] for name, values in terms.items()}, config)
+        for n, end in zip(sizes, ends)
+    ]
+    return grad, losses

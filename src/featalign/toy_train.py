@@ -10,6 +10,10 @@ parameters every epoch but treated as constants by the gradient
 descent on central finite differences; at this scale (a 64x64
 two-channel map, a few dozen samples per pair) that is fast enough and
 sidesteps hand-derived backpropagation through the per-point 2x2 solve.
+Each epoch renders a reference view only at the cells its batch reads
+(the float32 values ``reference_map`` holds there) and takes every pair's
+loss and the summed gradient from one ``loss_gradient_fd`` pass, so the
+trained parameters are bit for bit those of a loop over the pairs.
 
 The success metric is what actually matters downstream: how often does
 the pose solver, started from a perturbed pose, still land on the ground
@@ -26,13 +30,15 @@ from .configfile import check_finite, dataclass_from_mapping
 from .feature_maps import (
     FeatureMap,
     SampleOutOfBoundsError,
+    Stencil,
+    _cells,
     build_baseline_pyramid,
     gather_stencil,
     in_margins,
 )
 from .geometry import SE3Pose, boxplus, se3_exp, warp_points
 from .lm_align import AlignmentError, LMConfig, SparsePointSet, align_level
-from .losses import TERMS, LossConfig, LossError, loss_gradient_fd, sample_batch, total_loss
+from .losses import TERMS, LossConfig, LossError, loss_gradient_fd, sample_batch
 from .synth import (
     SceneConfig,
     SynthError,
@@ -56,7 +62,7 @@ class ToyPair:
     gt_pose: SE3Pose
     noise: np.ndarray            # (h, w, C) added to the sampled reference
     sample_uv: np.ndarray        # (k, 2) warped positions readable in-map
-    sample_rows: np.ndarray      # (k,) flat row indices of those positions
+    sample_rows: np.ndarray      # (k,) ascending flat row indices of those positions
     correspondences: np.ndarray  # (m, 4): ref u, v, target u, v
     points: SparsePointSet
 
@@ -130,6 +136,20 @@ class ToyTrainResult:
     final_accuracy: float = float("nan")
 
 
+def _render(live: FeatureMap, pair: ToyPair, cells: np.ndarray) -> np.ndarray:
+    """The pair's reference view at flat cell ids ``cells`` (any shape), as
+    float32 (..., C): the live map's bilinear value at the warped position
+    of each cell the view samples, zero at the others, plus the pair's
+    fixed noise."""
+    h, w, c = pair.noise.shape
+    # sample_rows ascends, so a cell's sample sits where searchsorted puts it.
+    slot = np.searchsorted(pair.sample_rows, cells)
+    seen = pair.sample_rows.take(slot, mode="clip") == cells
+    data = np.zeros(cells.shape + (c,))
+    data[seen] = gather_stencil(live, pair.sample_uv[slot[seen]]).values()
+    return (data + pair.noise.reshape(h * w, c)[cells]).astype(np.float32)
+
+
 def reference_map(params: np.ndarray, pair: ToyPair) -> FeatureMap:
     """The pair's reference view rendered from the given map parameters.
 
@@ -137,11 +157,19 @@ def reference_map(params: np.ndarray, pair: ToyPair) -> FeatureMap:
     at zero plus the stored noise; the noise is fixed per pair so repeated
     calls with the same parameters give the same map.
     """
-    live = FeatureMap(params)
     h, w, c = pair.noise.shape
-    data = np.zeros((h * w, c), dtype=np.float64)
-    data[pair.sample_rows] = gather_stencil(live, pair.sample_uv).values()
-    return FeatureMap(data.reshape(h, w, c) + pair.noise)
+    return FeatureMap(_render(FeatureMap(params), pair, np.arange(h * w)).reshape(h, w, c))
+
+
+def _reference_features(live: FeatureMap, pair: ToyPair, uv: np.ndarray) -> np.ndarray:
+    """``gather_stencil(reference_map(params, pair), uv).values()`` for
+    ``live = FeatureMap(params)`` and in-margin (n, 2) ``uv``, rendering
+    only the four cells each query reads."""
+    h, w, _ = pair.noise.shape
+    iu0, iv0, fu, fv = _cells(uv[:, 0], uv[:, 1], w, h)
+    # Flat ids of the four corners, in Stencil corner order.
+    cells = (iv0 * w + iu0)[:, None] + (0, 1, w, w + 1)
+    return Stencil(_render(live, pair, cells).astype(np.float64), fu, fv, iu0, iv0).values()
 
 
 def make_toy_training_set(
@@ -309,21 +337,19 @@ def train_toy_features(
         epoch_rng = np.random.default_rng(
             np.random.SeedSequence([config.seed, epoch])
         )
-        tgt_map = FeatureMap(params)
-        grad = np.zeros_like(params)
-        totals = []
-        breakdowns = []
+        live = FeatureMap(params)
+        f_refs, batches = [], []
         for pair in training_set.pairs:
-            ref_map = reference_map(params, pair)
             pool = pair.correspondences
             take = min(config.batch_size, len(pool))
             rows = epoch_rng.choice(len(pool), size=take, replace=False)
             batch = sample_batch(epoch_rng, pool[rows], dims, config.loss)
-            total, breakdown = total_loss(ref_map, tgt_map, batch, config.loss)
-            grad += loss_gradient_fd(ref_map, params, batch, config.loss)
-            totals.append(total)
-            breakdowns.append(breakdown)
+            f_refs.append(_reference_features(live, pair, batch.ref_uv))
+            batches.append(batch)
+        grad, losses = loss_gradient_fd(f_refs, params, batches, config.loss)
         grad /= len(training_set.pairs)
+        totals = [total for total, _ in losses]
+        breakdowns = [breakdown for _, breakdown in losses]
         loss_now = float(np.mean(totals))
         if initial_total is None:
             initial_total = loss_now

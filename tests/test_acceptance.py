@@ -23,7 +23,6 @@ from featalign.lm_align import (
     build_normal_equations,
     compute_jacobian,
     compute_residuals,
-    damp,
     solve_step,
 )
 from featalign.losses import LOG_TWO_PI, CorrespondenceBatch, LossConfig, batch_terms
@@ -37,6 +36,8 @@ from featalign.synth import (
     sample_pose_perturbation,
 )
 from featalign.toy_train import ToyTrainConfig, make_toy_training_set, train_toy_features
+
+from solver_helpers import damp
 
 
 def _report(capsys, num, ok, detail):

@@ -47,7 +47,6 @@ from featalign.lm_align import (
     build_normal_equations,
     compute_jacobian,
     compute_residuals,
-    damp,
     huber_energy,
     huber_weights,
     load_points_text,
@@ -55,6 +54,8 @@ from featalign.lm_align import (
     solve_step,
 )
 from featalign.synth import SceneConfig, build_pair, generate_scene, sample_pose_perturbation
+
+from solver_helpers import damp
 
 
 def _K64():

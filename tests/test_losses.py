@@ -75,6 +75,13 @@ def gn_system(ref, tgt, p, q):
     return res[0], jac[0], hess[0], rhs[0]
 
 
+def one_pair_gradient(ref_map, params, batch, config, step=FD_STEP):
+    """loss_gradient_fd's gradient for a single pair with reference map ``ref_map``."""
+    f_ref = gather_stencil(ref_map, batch.ref_uv).values()
+    grad, _ = loss_gradient_fd([f_ref], params, [batch], config, step)
+    return grad
+
+
 def brute_gradient(ref_map, params, batch, config, entries, step=FD_STEP):
     """Central differences of total_loss, rebuilding the whole map per entry.
 
@@ -409,7 +416,7 @@ class TestLossGradientFD:
 
     def test_untouched_cells_have_zero_gradient(self):
         ref, params, batch, cfg = self._random_problem()
-        grad = loss_gradient_fd(ref, params, batch, cfg)
+        grad = one_pair_gradient(ref, params, batch, cfg)
         touched = set()
         for uv in (batch.gt_uv, batch.neg_uv, batch.ring_uv, batch.near_uv):
             touched.update(self._stencil_cells(uv, params.shape))
@@ -430,7 +437,7 @@ class TestLossGradientFD:
         p = np.array([4.0, 5.0])
         gt = np.array([7.5, 9.25])
         batch = one_row_batch(p, gt, (12.0, 12.0), (10.0, 9.0), (7.25, 9.0))
-        grad = loss_gradient_fd(ref, params, batch, cfg, step=2.0**-13)
+        grad = one_pair_gradient(ref, params, batch, cfg, step=2.0**-13)
 
         f_ref = gather_stencil(ref, p[None, :]).values()
         f_tgt = gather_stencil(FeatureMap(params), gt[None, :]).values()
@@ -452,9 +459,9 @@ class TestLossGradientFD:
         ])
         cfg = LossConfig(gd_radius=3.0)
         batch = sample_batch(rng, corr, (h, w), cfg)
-        g1 = loss_gradient_fd(ref, params, batch, cfg, step=2.0**-13)
-        g2 = loss_gradient_fd(ref, params, batch, cfg, step=2.0**-12)
-        g3 = loss_gradient_fd(ref, params, batch, cfg, step=2.0**-11)
+        g1 = one_pair_gradient(ref, params, batch, cfg, step=2.0**-13)
+        g2 = one_pair_gradient(ref, params, batch, cfg, step=2.0**-12)
+        g3 = one_pair_gradient(ref, params, batch, cfg, step=2.0**-11)
         scale = np.abs(g1).max()
         assert scale > 0
         assert np.abs(g2 - g1).max() <= 1e-5 * scale
@@ -487,7 +494,7 @@ class TestLossGradientFD:
             (ref, params, batch, cfg, entries),
             (gn_ref, gn_params, gn_batch, gn_only, gn_entries),
         ):
-            fast = loss_gradient_fd(ref, params, batch, cfg)
+            fast = one_pair_gradient(ref, params, batch, cfg)
             brute = brute_gradient(ref, params, batch, cfg, entries)
             rows, cols, chans = np.array(entries).T
             np.testing.assert_allclose(
@@ -523,7 +530,7 @@ class TestLossGradientFD:
         untouched = sorted(set(others))[:3] + [(0, 0), (params.shape[0] - 1, 0)]
         assert len(untouched) == 5 and not set(untouched) & set(touched)
         entries = [(v, u, c) for v, u in touched + untouched for c in range(d)]
-        fast = loss_gradient_fd(ref, params, batch, cfg)
+        fast = one_pair_gradient(ref, params, batch, cfg)
         brute = brute_gradient(ref, params, batch, cfg, entries)
         # the gn term's log-det loss reaches ~24 here (``_oracle_atol``)
         rows, cols, chans = np.array(entries).T
@@ -534,3 +541,51 @@ class TestLossGradientFD:
         assert np.any(fast[rows, cols, chans] != 0.0)
         for v, u in untouched:
             assert np.all(fast[v, u] == 0.0) and np.all(brute[v, u] == 0.0)
+
+
+class TestStackedPairs:
+    """``loss_gradient_fd`` over several pairs is the pairs' one-pair calls."""
+
+    @staticmethod
+    def _pairs(seed=6, h=24, w=24, d=2, sizes=(9, 5, 12)):
+        """Pairs of (reference map, batch) on one target map; the last
+        batch loses its first three rows to the margins."""
+        rng = np.random.default_rng(seed)
+        params = rng.normal(size=(h, w, d))
+        pairs = []
+        for n in sizes:
+            ref = FeatureMap(rng.normal(size=(h, w, d)))
+            corr = np.column_stack([
+                rng.uniform(6, w - 7, size=n), rng.uniform(6, h - 7, size=n),
+                rng.uniform(7, w - 8, size=n), rng.uniform(7, h - 8, size=n),
+            ])
+            pairs.append((ref, corr))
+        corr = pairs[-1][1]
+        corr[:3, 0] = 0.5  # reference u inside the 1-px margin
+        batches = [sample_batch(rng, corr, (h, w), LossConfig(gd_radius=3.0)) for _, corr in pairs]
+        assert [len(b) for b in batches] == [9, 5, 9]
+        return params, [ref for ref, _ in pairs], batches
+
+    @pytest.mark.parametrize("zeroed", [None, *(weight for weight, _ in TERMS.values())])
+    def test_stacked_pass_is_the_in_order_sum_of_one_pair_calls(self, zeroed):
+        params, refs, batches = self._pairs()
+        weights = {"w_gd": 4.0, "w_gn": 0.2, **({zeroed: 0.0} if zeroed else {})}
+        cfg = LossConfig(gd_radius=3.0, **weights)
+        f_refs = [gather_stencil(ref, b.ref_uv).values() for ref, b in zip(refs, batches)]
+        grad, losses = loss_gradient_fd(f_refs, params, batches, cfg)
+
+        summed = np.zeros_like(params)
+        for f_ref, batch in zip(f_refs, batches):
+            one, _ = loss_gradient_fd([f_ref], params, [batch], cfg)
+            summed += one
+        assert grad.tobytes() == summed.tobytes()
+        assert np.any(grad != 0.0)
+
+        assert len(losses) == len(batches)
+        tgt = FeatureMap(params)
+        for ref, batch, (total, breakdown) in zip(refs, batches, losses):
+            want_total, want = total_loss(ref, tgt, batch, cfg)
+            assert list(breakdown) == list(want)
+            assert np.array([total, *breakdown.values()]).tobytes() == (
+                np.array([want_total, *want.values()]).tobytes()
+            )

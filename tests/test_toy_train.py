@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from featalign import toy_train
+from featalign.feature_maps import FeatureMap, gather_stencil
 from featalign.lm_align import AlignmentError, compute_residuals
 from featalign.losses import LossConfig, LossError
 from featalign.synth import SynthError, mean_flow
@@ -39,7 +40,6 @@ class TestTrainingSet:
 
     def test_noiseless_references_are_exact_at_ground_truth(self):
         ts = make_toy_training_set(seed=5, n_pairs=4, eval_offsets=4, ref_noise=0.0)
-        from featalign.feature_maps import FeatureMap
 
         tgt = FeatureMap(ts.init_params)
         for pair in ts.pairs:
@@ -56,6 +56,32 @@ class TestTrainingSet:
         a = reference_map(small_set.init_params, pair)
         b = reference_map(small_set.init_params, pair)
         np.testing.assert_array_equal(a.values, b.values)
+
+
+class TestReferenceFeatures:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rendered_cells_match_the_full_reference_map(self, seed):
+        ts = make_toy_training_set(seed)
+        rng = np.random.default_rng(seed)
+        h, w, _ = ts.init_params.shape
+        queries = np.vstack([
+            rng.uniform(1.0, (w - 2, h - 2), size=(300, 2)),
+            rng.integers(1, (w - 1, h - 1), size=(40, 2)).astype(np.float64),
+            [(w - 2.0, h - 2.0), (1.0, 1.0), (w - 2.0, 7.5)],  # last interior node, first, edge
+        ])
+        for params in (ts.init_params, ts.init_params + rng.normal(0.0, 0.3, ts.init_params.shape)):
+            live = FeatureMap(params)
+            for pair in ts.pairs:
+                want = gather_stencil(toy_train.reference_map(params, pair), queries).values()
+                got = toy_train._reference_features(live, pair, queries)
+                assert got.tobytes() == want.tobytes()
+                # Some queries read only cells outside the view (noise only).
+                iu0 = np.floor(queries[:, 0]).astype(int)
+                iv0 = np.floor(queries[:, 1]).astype(int)
+                sampled = np.isin(iv0 * w + iu0, pair.sample_rows)
+                for dv, du in ((0, 1), (1, 0), (1, 1)):
+                    sampled |= np.isin((iv0 + dv) * w + iu0 + du, pair.sample_rows)
+                assert not sampled.all() and sampled.any()
 
 
 class TestTraining:
