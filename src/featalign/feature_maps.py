@@ -121,22 +121,32 @@ class Stencil:
     iv0: np.ndarray  # (n,) int
 
     def values(self) -> np.ndarray:
-        """Interpolated values, (..., n, D)."""
-        # Filled column by column: np.stack's bytes, without its cost on
-        # the solver's short arrays.
+        """Interpolated values, (..., n, D).
+
+        ``_corner_weights`` writes the four corner products straight into
+        the columns of one C-ordered (n, 4) array, the bytes ``np.stack``
+        of the products gives, and the einsum ``nc,...ncd->...nd`` sums
+        the corners with them. The einsum's sums follow the weights'
+        memory layout, so they stay (n, 4) C-ordered: the same numbers
+        read from a (4, n) array change last bits.
+        """
         weights = np.empty((self.fu.shape[0], 4))
-        weights[:, 0], weights[:, 1], weights[:, 2], weights[:, 3] = _corner_weights(
-            self.fu, self.fv
-        )
+        _corner_weights(self.fu, self.fv, weights.T)
         return np.einsum("nc,...ncd->...nd", weights, self.corners)
 
     def gradients(self) -> np.ndarray:
-        """Interpolant gradients d(value)/d(u, v), (..., n, D, 2)."""
+        """Interpolant gradients d(value)/d(u, v), (..., n, D, 2).
+
+        ``du = (1 - fv) (c1 - c0) + fv (c3 - c2)`` and ``dv = (1 - fu) (c2 -
+        c0) + fu (c3 - c1)``, each added straight into its half of one
+        output array: ``np.stack([du, dv], axis=-1)``'s bytes.
+        """
         fu, fv = self.fu[:, None], self.fv[:, None]
         c0, c1, c2, c3 = (self.corners[..., k, :] for k in range(4))
-        du = (1.0 - fv) * (c1 - c0) + fv * (c3 - c2)
-        dv = (1.0 - fu) * (c2 - c0) + fu * (c3 - c1)
-        return np.stack([du, dv], axis=-1)
+        out = np.empty(c0.shape + (2,))
+        np.add((1.0 - fv) * (c1 - c0), fv * (c3 - c2), out=out[..., 0])
+        np.add((1.0 - fu) * (c2 - c0), fu * (c3 - c1), out=out[..., 1])
+        return out
 
 
 def _cells(
@@ -144,9 +154,10 @@ def _cells(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Cell ``(iu0, iv0)`` and in-cell fractions ``(fu, fv)`` of float64
     pixel coordinates in [0, width-1] x [0, height-1]: the one home of the
-    bilinear floor, clamp and fraction."""
-    iu0 = np.floor(u).astype(np.intp)
-    iv0 = np.floor(v).astype(np.intp)
+    bilinear floor, clamp and fraction. The coordinates are not negative,
+    so the integer cast's truncation is their floor."""
+    iu0 = u.astype(np.intp)
+    iv0 = v.astype(np.intp)
     # Keep the +1 neighbour on-grid when a query sits exactly on the last
     # interior node.
     np.minimum(iu0, width - 2, out=iu0)
@@ -154,14 +165,17 @@ def _cells(
     return iu0, iv0, u - iu0, v - iv0
 
 
-def _corner_weights(
-    fu: np.ndarray, fv: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four bilinear corner weights at cell fractions (fu, fv), in
-    Stencil corner order: the one home of their products."""
+def _corner_weights(fu: np.ndarray, fv: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the four bilinear corner weights at cell fractions (fu, fv)
+    into ``out[0]`` .. ``out[3]``, in Stencil corner order, and return
+    ``out``: the one home of their products."""
     gu = 1.0 - fu
     gv = 1.0 - fv
-    return gu * gv, fu * gv, gu * fv, fu * fv
+    np.multiply(gu, gv, out=out[0])
+    np.multiply(fu, gv, out=out[1])
+    np.multiply(gu, fv, out=out[2])
+    np.multiply(fu, fv, out=out[3])
+    return out
 
 
 def in_margins(uv: np.ndarray, width: int, height: int, margin: float) -> np.ndarray:

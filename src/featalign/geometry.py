@@ -45,13 +45,9 @@ class PoseFormatError(ValueError):
 
 
 def _skew(w: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -w[2], w[1]],
-            [w[2], 0.0, -w[0]],
-            [-w[1], w[0], 0.0],
-        ]
-    )
+    # Python floats from tolist() build the array faster than NumPy scalars.
+    a, b, c = w.tolist()
+    return np.array([[0.0, -c, b], [c, 0.0, -a], [-b, a, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -71,7 +67,8 @@ class SE3Pose:
         (a, b, c), (d, e, f), (g, h, i) = r.tolist()
         if not all(map(math.isfinite, (a, b, c, d, e, f, g, h, i, *t.tolist()))):
             raise GeometryError("pose contains non-finite entries")
-        err = np.abs(r.T @ r - _EYE3).max()
+        # ndarray.max()'s own reduction, without its dispatch.
+        err = np.maximum.reduce(np.abs(r.T @ r - _EYE3), axis=None)
         if err > _ORTHONORMAL_TOL:
             raise GeometryError(f"rotation not orthonormal (|R'R - I| = {err:.3e})")
         # Determinant by cofactors: within 1e-8 of +1 or -1 once R'R = I holds.
@@ -218,10 +215,17 @@ def _project_planes(
     front = z > Z_MIN
     zsafe = np.where(front, z, 1.0)
     valid = usable & front
-    u = intrinsics.fx * x / zsafe + intrinsics.cx
-    v = intrinsics.fy * y / zsafe + intrinsics.cy
-    valid &= (u >= margin) & (u <= intrinsics.width - 1 - margin)
-    valid &= (v >= margin) & (v <= intrinsics.height - 1 - margin)
+    # u = fx * x / zsafe + cx, in place; likewise v.
+    u = intrinsics.fx * x
+    u /= zsafe
+    u += intrinsics.cx
+    v = intrinsics.fy * y
+    v /= zsafe
+    v += intrinsics.cy
+    valid &= u >= margin
+    valid &= u <= intrinsics.width - 1 - margin
+    valid &= v >= margin
+    valid &= v <= intrinsics.height - 1 - margin
     return u, v, valid
 
 
@@ -269,33 +273,42 @@ def pose_twist_jacobian(
     ``transformed`` holds target-frame points Y (n, 3). For a left update
     exp(delta) the point moves as Y + v + omega x Y, so
     d(pixel)/d(delta) = dPi/dY @ [I | -skew(Y)], returned as (n, 2, 6).
+
+    Both factors are zero-filled arrays, dPi/dY (n, 2, 3) and
+    [I | -skew(Y)] (n, 3, 6), joined by one matmul. The second is filled
+    through a flat (n, 18) view, the identity's three ones in one strided
+    write; its entries are the ones a per-entry fill gives, signed zeros
+    included (-x, -y and -z negate the same coordinates), so the product
+    keeps that matmul's bytes. The translation block stays in the matmul:
+    there the identity's zero products turn a -0.0 of dPi/dY into +0.0,
+    which a copy of dPi/dY would not.
     """
     pts = np.asarray(transformed, dtype=np.float64).reshape(-1, 3)
     n = pts.shape[0]
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    if np.any(z <= Z_MIN):
+    if (z <= Z_MIN).any():
         raise BehindCameraError("transformed point at or behind the camera")
     fx, fy = intrinsics.fx, intrinsics.fy
 
+    z2 = z**2
     dpi = np.zeros((n, 2, 3))
     dpi[:, 0, 0] = fx / z
-    dpi[:, 0, 2] = -fx * x / z**2
+    dpi[:, 0, 2] = -fx * x / z2
     dpi[:, 1, 1] = fy / z
-    dpi[:, 1, 2] = -fy * y / z**2
+    dpi[:, 1, 2] = -fy * y / z2
 
-    dpoint = np.zeros((n, 3, 6))
-    dpoint[:, 0, 0] = 1.0
-    dpoint[:, 1, 1] = 1.0
-    dpoint[:, 2, 2] = 1.0
-    # -skew(Y) columns for the rotational part.
-    dpoint[:, 0, 4] = z
-    dpoint[:, 0, 5] = -y
-    dpoint[:, 1, 3] = -z
-    dpoint[:, 1, 5] = x
-    dpoint[:, 2, 3] = y
-    dpoint[:, 2, 4] = -x
-
-    return dpi @ dpoint
+    # [I | -skew(Y)] with -skew(Y) = [[0, z, -y], [-z, 0, x], [y, -x, 0]];
+    # row r of the 3 x 6 factor starts at flat column 6 r.
+    neg = -pts
+    dpoint = np.zeros((n, 18))
+    dpoint[:, 0:15:7] = 1.0
+    dpoint[:, 4] = z
+    dpoint[:, 5] = neg[:, 1]
+    dpoint[:, 9] = neg[:, 2]
+    dpoint[:, 11] = x
+    dpoint[:, 15] = y
+    dpoint[:, 16] = neg[:, 0]
+    return dpi @ dpoint.reshape(n, 3, 6)
 
 
 def translation_error(t_est: np.ndarray, t_gt: np.ndarray) -> float:

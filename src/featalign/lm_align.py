@@ -249,7 +249,7 @@ def _sample_valid(
     stencil, their (k, D) residuals and (k,) norms (``_check_pair``).
     """
     # take moves the same bytes as boolean-mask indexing, faster.
-    ids = np.flatnonzero(valid)
+    ids = valid.nonzero()[0]
     stencil = _stencil(tgt.values, u.take(ids), v.take(ids))
     res = stencil.values() - ref_vals.take(ids, axis=0)
     # np.linalg.norm(res, axis=1)'s own formula, without its dispatch.
@@ -278,7 +278,7 @@ def _valid_norms(
     h, w = tgt.height, tgt.width
     flat = np.flatnonzero(valid)
     iu0, iv0, fu, fv = _cells(u.take(flat), v.take(flat), w, h)
-    weights = _corner_weights(fu, fv)
+    weights = _corner_weights(fu, fv, np.empty((4, flat.size)))
     cell = iv0 * w + iu0
     planes = np.ascontiguousarray(tgt.values.reshape(h * w, -1).T, dtype=np.float64)
     # Point ids of the entries; floor division is about twice as fast as %.
@@ -400,14 +400,19 @@ def build_normal_equations(
     """Weighted Gauss-Newton system: H = J'WJ, b = -J'Wr.
 
     ``weights`` is one scalar per point, applied to all of the point's
-    channels. Reductions are plain fixed-order sums, so results are
-    reproducible bit-for-bit for identical inputs.
+    channels. The Jacobian is weighted once, ``JW = J * w[:, None, None]``,
+    and H and b are the two-operand einsums ``ncx,ncy->xy`` over (JW, J)
+    and ``ncx,nc->x`` over (JW, r). The three-operand einsums
+    ``ncx,n,ncy->xy`` and ``ncx,n,nc->x`` also multiply J by w first and
+    add in the same fixed order, so H and b are their bytes (checked for
+    0 to 600 rows and D in {1, 2, 3, 8}, with zero and unit weights), and
+    reproducible for identical inputs.
     """
     j = np.asarray(jac, dtype=np.float64)
     r = np.asarray(residuals, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    h = np.einsum("ncx,n,ncy->xy", j, w, j)
-    b = -np.einsum("ncx,n,nc->x", j, w, r)
+    jw = j * np.asarray(weights, dtype=np.float64)[:, None, None]
+    h = np.einsum("ncx,ncy->xy", jw, j)
+    b = -np.einsum("ncx,nc->x", jw, r)
     return h, b
 
 
@@ -417,18 +422,24 @@ def _damping_matrix(h: np.ndarray, mode: str) -> np.ndarray:
     system and reuses it for every damping retry.
 
     Marquardt diagonal entries are floored at 1e-12 so a dead parameter
-    direction still receives some damping.
+    direction still receives some damping. The floored diagonal is written
+    straight into the diagonal of a zero 6 x 6 matrix: the bytes of
+    ``np.diag(np.maximum(np.diag(h), 1e-12))``.
     """
     if mode == "levenberg":
         return np.eye(6)
     if mode == "marquardt":
-        return np.diag(np.maximum(np.diag(h), 1e-12))
+        m = np.zeros((6, 6))
+        np.maximum(h.diagonal(), 1e-12, out=m.reshape(-1)[::7])
+        return m
     raise AlignmentError(f"unknown damping mode {mode!r}")
 
 
 def solve_step(h_damped: np.ndarray, b: np.ndarray, cond_max: float = 1e12) -> np.ndarray:
     """Solve the damped system, refusing non-finite or ill-conditioned ones."""
-    if not (np.isfinite(h_damped).all() and np.isfinite(b).all()):
+    # ndarray.all()'s own reduction, without its dispatch.
+    all_true = np.logical_and.reduce
+    if not (all_true(np.isfinite(h_damped), axis=None) and all_true(np.isfinite(b))):
         raise DegenerateSystemError("damped system holds non-finite entries")
     eigs = np.linalg.eigvalsh(h_damped)
     if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > cond_max:
