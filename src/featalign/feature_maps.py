@@ -178,6 +178,28 @@ def _corner_weights(fu: np.ndarray, fv: np.ndarray, out: np.ndarray) -> np.ndarr
     return out
 
 
+def _corner_sum(weights, corners) -> np.ndarray:
+    """The bilinear value ``((w0 c0 + w1 c1) + w2 c2) + w3 c3`` of four
+    corner weights and four corner arrays, in Stencil corner order, each
+    product added in turn into a fresh array. ``corners`` may be any
+    iterable, so a caller can read each corner as the sum needs it.
+
+    For corners with two or more channels this is ``Stencil.values()``'
+    einsum bit for bit, so one channel of a stencil can be interpolated
+    alone: the seed grid reads the target a plane at a time
+    (``lm_align._valid_norms``), and a training-gradient bump moves one
+    channel (``losses.loss_gradient_fd``). At one channel the einsum adds
+    the corners in another order, so a caller that must match it there
+    keeps the einsum.
+    """
+    pairs = zip(weights, corners)
+    weight, corner = next(pairs)
+    out = weight * corner
+    for weight, corner in pairs:
+        out += weight * corner
+    return out
+
+
 def in_margins(uv: np.ndarray, width: int, height: int, margin: float) -> np.ndarray:
     """Mask of (..., 2) pixel positions at least ``margin`` inside a width x height grid.
 

@@ -26,6 +26,7 @@ from .feature_maps import (
     SampleOutOfBoundsError,
     Stencil,
     _cells,
+    _corner_sum,
     _corner_weights,
     _stencil,
     gather_stencil,
@@ -180,8 +181,9 @@ def huber_energy(norms: np.ndarray, gamma: float) -> float:
 def huber_weights(norms: np.ndarray, gamma: float) -> np.ndarray:
     """IRLS weights: 1 inside the quadratic zone, gamma/s outside."""
     s = np.asarray(norms, dtype=np.float64)
-    safe = np.maximum(s, 1e-300)
-    return np.where(s <= gamma, 1.0, gamma / safe)
+    # The quotient is only kept where s > gamma, where a floor at gamma
+    # leaves s as it is for any positive gamma.
+    return np.where(s <= gamma, 1.0, gamma / np.maximum(s, gamma))
 
 
 @dataclass
@@ -264,16 +266,16 @@ def _valid_norms(
     ``compute_residuals``' norms at pose i. The seed grid scores with them.
 
     The valid entries are compacted to flat arrays, and each channel is
-    read from its own float64 plane of the target: the corner sum
-    ``((w0 c0 + w1 c1) + w2 c2) + w3 c3``, minus the reference, squared
-    and summed in channel order, then the square root. For 2 <= D <= 7
-    that is ``Stencil.values()``' einsum and ``np.linalg.norm``'s sum bit
-    for bit, so the norms equal ``compute_residuals``'. At D = 1 the einsum
-    adds the corners in another order, and from D = 8 on the norm sums
-    channels pairwise, so there a norm can differ from the solver's in the
-    last bits. Every seed energy and bound comes from this one function,
-    so the seed is still the exact argmin of its own energies at every D.
-    The caller has run ``_check_pair``.
+    read from its own float64 plane of the target: ``_corner_sum``, minus
+    the reference, squared and summed in channel order, then the square
+    root. For 2 <= D <= 7 that is ``Stencil.values()``' einsum and
+    ``np.linalg.norm``'s sum bit for bit, so the norms equal
+    ``compute_residuals``'. At D = 1 the einsum adds the corners in
+    another order, and from D = 8 on the norm sums channels pairwise, so
+    there a norm can differ from the solver's in the last bits. Every seed
+    energy and bound comes from this one function, so the seed is still
+    the exact argmin of its own energies at every D. The caller has run
+    ``_check_pair``.
     """
     h, w = tgt.height, tgt.width
     flat = np.flatnonzero(valid)
@@ -288,9 +290,8 @@ def _valid_norms(
     for plane, ref_plane in zip(planes, np.ascontiguousarray(ref_vals.T)):
         # A plane viewed from offset o reads cell + o, so one cell id array
         # serves all four corners.
-        res = weights[0] * plane.take(cell)
-        for weight, offset in zip(weights[1:], (1, w, w + 1)):
-            res += weight * plane[offset:].take(cell)
+        corners = (plane[offset:].take(cell) for offset in (0, 1, w, w + 1))
+        res = _corner_sum(weights, corners)
         res -= ref_plane.take(ids)
         squares += res * res
     norms = np.zeros(valid.shape)

@@ -12,13 +12,19 @@ normal equations of the alignment update:
             precision of a Gaussian (negative log-density form).
 
 ``TERMS`` pairs each term with its weight and target samples, and ``_term``
-holds its formula over bilinear stencils, so the training gradient is a
-central difference per stored cell that re-evaluates only touched samples.
+holds its formula over the interpolated target values (and, for the gd and
+gn steps, their gradients), so the training gradient is a central
+difference per stored cell that re-evaluates only touched samples.
 ``loss_gradient_fd`` takes every pair of a training step at once: it
 stacks the pairs' batch rows against the one target map, gathers each
 term's stencil once, and returns each pair's loss breakdown (the bits of
 ``total_loss``) with the in-order sum of the pairs' gradients (the bits of
-summing one-pair calls).
+summing one-pair calls). A bump of one cell's channel moves only that
+channel of the rows that read the cell, so each bump re-interpolates that
+one channel and copies the others from the unbumped rows. From two
+channels on it sums the corners as ``feature_maps._corner_sum`` does,
+which is ``Stencil.values()``' einsum bit for bit; at one channel the
+einsum adds the corners in another order, so there it keeps the einsum.
 
 Sign convention: the per-point right-hand side is b = -J^T r, as in
 ``lm_align.build_normal_equations``, so the update step
@@ -37,6 +43,8 @@ from .feature_maps import (
     FeatureMap,
     SAMPLE_MARGIN,
     Stencil,
+    _corner_sum,
+    _corner_weights,
     gather_stencil,
     in_margins,
 )
@@ -53,6 +61,8 @@ TERMS = {
     "gd": ("w_gd", "ring_uv"),
     "gn": ("w_gn", "near_uv"),
 }
+# The terms that take an update step, and so read the interpolant gradients.
+_STEP_TERMS = ("gd", "gn")
 
 
 class LossError(Exception):
@@ -119,8 +129,9 @@ class CorrespondenceBatch:
 
 
 # ---------------------------------------------------------------------------
-# Stencil-level term arithmetic (shared by batches and FD). Target stencils
-# may carry leading stack dimensions ahead of the batch rows.
+# Term arithmetic on interpolated target samples (shared by batches and FD).
+# The target values and gradients may carry leading stack dimensions ahead
+# of the batch rows.
 # ---------------------------------------------------------------------------
 
 
@@ -135,10 +146,10 @@ def _sum_products(a, b):
     return acc
 
 
-def _gn_pieces(st: Stencil, f_ref):
-    """Residual, 2x2 Hessian and rhs for every row of a target stencil."""
-    jac = st.gradients()                          # (..., n, D, 2)
-    res = st.values() - f_ref                     # (..., n, D)
+def _gn_pieces(values, jac, f_ref):
+    """Residual, 2x2 Hessian and rhs for every row of target samples with
+    interpolated values (..., n, D) and gradients ``jac`` (..., n, D, 2)."""
+    res = values - f_ref                          # (..., n, D)
     ju, jv = jac[..., 0], jac[..., 1]
     # J^T J and -J^T r, as einsum("...ndi,...ndj->...nij") and
     # -einsum("...ndi,...nd->...ni") give them.
@@ -149,7 +160,7 @@ def _gn_pieces(st: Stencil, f_ref):
     rhs = np.empty(res.shape[:-1] + (2,))         # (..., n, 2)
     rhs[..., 0] = -_sum_products(ju, res)
     rhs[..., 1] = -_sum_products(jv, res)
-    return res, jac, hess, rhs
+    return res, hess, rhs
 
 
 def _solve_2x2(hess, damping, rhs):
@@ -164,16 +175,18 @@ def _solve_2x2(hess, damping, rhs):
     return out
 
 
-def _term(name: str, st: Stencil, f_ref, batch, config) -> np.ndarray:
-    """Per-row values of loss term ``name`` from the target stencil ``st``
-    at its ``TERMS`` samples of ``batch``, against reference features
-    ``f_ref`` (n, D). The result keeps ``st``'s leading stack dimensions."""
-    if name in ("match", "negative"):
-        diff = st.values() - f_ref
+def _term(name: str, values, jac, f_ref, batch, config) -> np.ndarray:
+    """Per-row values of loss term ``name`` from the target's interpolated
+    values (..., n, D) at its ``TERMS`` samples of ``batch``, against
+    reference features ``f_ref`` (n, D). ``jac`` holds the interpolant
+    gradients (..., n, D, 2), which only the ``_STEP_TERMS`` read; the
+    others take None. The result keeps the leading stack dimensions."""
+    if name not in _STEP_TERMS:
+        diff = values - f_ref
         dist = np.einsum("...nd,...nd->...n", diff, diff)
         return dist if name == "match" else np.maximum(config.margin - dist, 0.0)
     uv, gt_uv = getattr(batch, TERMS[name][1]), batch.gt_uv
-    _, _, hess, rhs = _gn_pieces(st, f_ref)
+    _, hess, rhs = _gn_pieces(values, jac, f_ref)
     if name == "gd":
         after = uv + _solve_2x2(hess, config.lambda_f, rhs)
         gain = np.einsum("...ni,...ni->...n", after - gt_uv, after - gt_uv)
@@ -258,11 +271,20 @@ def sample_batch(rng, gt_correspondences, image_dims, config: LossConfig) -> Cor
     )
 
 
+def _samples(st: Stencil, name: str):
+    """The interpolated values and, for a step term, the gradients of the
+    target stencil ``st`` that ``_term(name, ...)`` reads."""
+    return st.values(), st.gradients() if name in _STEP_TERMS else None
+
+
 def batch_terms(ref_map: FeatureMap, tgt_map: FeatureMap, batch, config) -> dict:
     """All four loss terms for every batch row, vectorized. Returns arrays."""
     f_ref = gather_stencil(ref_map, batch.ref_uv).values()
     return {
-        name: _term(name, gather_stencil(tgt_map, getattr(batch, field)), f_ref, batch, config)
+        name: _term(
+            name, *_samples(gather_stencil(tgt_map, getattr(batch, field)), name),
+            f_ref, batch, config,
+        )
         for name, (_, field) in TERMS.items()
     }
 
@@ -286,6 +308,15 @@ def total_loss(ref_map, tgt_map, batch, config) -> tuple[float, dict]:
 # ---------------------------------------------------------------------------
 # Finite-difference training gradient.
 # ---------------------------------------------------------------------------
+
+
+def _with_channel(unbumped, moved):
+    """(2, 4, d, N, D, ...) copies of the unbumped rows (N, D, ...), each
+    bump's channel c replaced by ``moved[:, :, c]`` (2, 4, d, N, ...)."""
+    out = np.broadcast_to(unbumped, moved.shape[:3] + unbumped.shape).copy()
+    for c in range(moved.shape[2]):
+        out[:, :, c, :, c] = moved[:, :, c]
+    return out
 
 
 def loss_gradient_fd(
@@ -315,12 +346,18 @@ def loss_gradient_fd(
     The pairs' N rows are stacked, so each term's target stencil is
     gathered once. Per bumped cell, only the loss terms whose stencil
     contains that cell are re-evaluated; terms elsewhere cancel in the
-    central difference. The (sign, corner, channel) bumps are stacked ahead
-    of the rows of one (2, 4, d, N, 4, D) stencil, so every weighted term is
-    evaluated once by ``_term`` over all 8 * d bumps.
+    central difference. A (sign, corner, channel) bump changes only that
+    channel of each row's interpolated value and gradient, so only that
+    channel is re-interpolated, from (2, 4, d, N, 4) bumped corners. Its
+    values come from ``feature_maps._corner_sum``, the einsum's bits from
+    two channels on, and from ``Stencil.values()``' einsum itself at one
+    channel, where the two add the corners in different orders; its
+    gradients from ``Stencil.gradients()``, which is elementwise. The
+    unbumped rows' other channels are copied in around it, and every
+    weighted term is evaluated once by ``_term`` over all 8 * d bumps.
     """
     params = np.asarray(params, dtype=np.float64)
-    d = params.shape[2]
+    h, w, d = params.shape
     sizes = [len(batch) for batch in batches]
     batch = CorrespondenceBatch(**{
         name: np.concatenate([getattr(b, name) for b in batches])
@@ -330,7 +367,10 @@ def loss_gradient_fd(
     pair = np.repeat(np.arange(len(sizes)), sizes)
     # 2 * step * n_p per row, as one pair's scalar divisor.
     scale = 2.0 * step * np.repeat(sizes, sizes)
-    grads = np.zeros((len(sizes),) + params.shape)
+    # Flat (pair, row, column, channel) index and value of every
+    # contribution, term by term, each in (corner, channel, row) order;
+    # the empty heads stand in when every weight is zero.
+    slots, contribs = [np.empty(0, dtype=np.intp)], [np.empty(0)]
 
     tgt_map = FeatureMap(params)
     corner = np.arange(4)[:, None]
@@ -338,25 +378,43 @@ def loss_gradient_fd(
     terms = {}
     for name, (weight_field, field) in TERMS.items():
         st = gather_stencil(tgt_map, getattr(batch, field))
-        terms[name] = _term(name, st, f_ref, batch, config)
+        values, jac = _samples(st, name)
+        terms[name] = _term(name, values, jac, f_ref, batch, config)
         weight = getattr(config, weight_field)
         if weight == 0.0:
             continue
-        # Row and column of each corner's cell, (N, 4) in Stencil corner order.
-        iv = st.iv0[:, None] + (0, 0, 1, 1)
-        iu = st.iu0[:, None] + (0, 1, 0, 1)
-        base = params[iv, iu].transpose(1, 2, 0)  # (corner, channel, row)
-        # bumped[s, k, c] holds the batch's corners with corner k, channel c
-        # moved up (s = 0) or down (s = 1) by the step.
-        bumped = np.broadcast_to(st.corners, (2, 4, d) + st.corners.shape).copy()
-        bumped[0, corner, chan, :, corner, chan] = np.float32(base + step)
-        bumped[1, corner, chan, :, corner, chan] = np.float32(base - step)
-        values = _term(name, Stencil(bumped, st.fu, st.fv, st.iu0, st.iv0), f_ref, batch, config)
-        contrib = weight * (values[0] - values[1]) / scale
-        # Indexed in (corner, channel, row) order, so every cell sums its
-        # contributions corner by corner, then row by row.
-        np.add.at(grads, (pair, iv.T[:, None, :], iu.T[:, None, :], chan[:, :, None]), contrib)
+        # Flat cell of each corner, (4, N) in Stencil corner order.
+        cells = st.iv0 * w + st.iu0 + np.array([0, 1, w, w + 1])[:, None]
+        # (corner, channel, row), as ``contrib`` and ``slot`` below.
+        base = params.reshape(h * w, d).take(cells, axis=0).transpose(0, 2, 1)
+        # bumped[s, k, c] holds channel c's corners of every row with corner
+        # k moved up (s = 0) or down (s = 1) by the step.
+        corners = st.corners.transpose(2, 0, 1)  # (channel, row, corner)
+        bumped = np.broadcast_to(corners, (2, 4) + corners.shape).copy()
+        bumped[0, corner, chan, :, corner] = np.float32(base + step)
+        bumped[1, corner, chan, :, corner] = np.float32(base - step)
+        moved = Stencil(bumped[..., None], st.fu, st.fv, st.iu0, st.iv0)
+        if d == 1:
+            # The einsum adds the corners of one channel in its own order.
+            moved_values = moved.values()[..., 0]
+        else:
+            weights = _corner_weights(st.fu, st.fv, np.empty((4, st.fu.size)))
+            moved_values = _corner_sum(weights, np.moveaxis(bumped, -1, 0))
+        # Each bump's rows: the unbumped rows with its one channel replaced.
+        stack_values = _with_channel(values, moved_values)
+        stack_jac = None if jac is None else _with_channel(jac, moved.gradients()[..., 0, :])
+        bumps = _term(name, stack_values, stack_jac, f_ref, batch, config)
+        contrib = weight * (bumps[0] - bumps[1]) / scale
+        slot = ((pair * (h * w) + cells) * d)[:, None, :] + chan[:, :, None]
+        contribs.append(contrib.reshape(-1))
+        slots.append(slot.reshape(-1))
 
+    # bincount adds each slot's values in the order given, from +0.0, so
+    # every cell sums its contributions term by term, corner by corner,
+    # then row by row.
+    grads = np.bincount(
+        np.concatenate(slots), np.concatenate(contribs), minlength=len(sizes) * params.size
+    ).reshape((len(sizes),) + params.shape)
     grad = np.zeros_like(params)
     for plane in grads:
         grad += plane

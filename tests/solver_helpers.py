@@ -1,15 +1,17 @@
 """Solver helpers that only the tests call, kept out of ``featalign``.
 
 Besides ``damp``, this module keeps the earlier formulas of the LM
-iteration's kernels as oracles: each is written the way the kernel computed
-it before its NumPy calls were cut, and the kernel must still return its
-bytes.
+iteration's kernels, and of the training gradient, as oracles: each is
+written the way the kernel computed it before its NumPy calls were cut, and
+the kernel must still return its bytes.
 """
 
 import numpy as np
 
+from featalign.feature_maps import FeatureMap, Stencil, gather_stencil
 from featalign.geometry import Z_MIN
 from featalign.lm_align import _damping_matrix
+from featalign.losses import FD_STEP, TERMS, CorrespondenceBatch, _breakdown, _term
 
 
 def damp(h: np.ndarray, lam: float, mode: str) -> np.ndarray:
@@ -93,3 +95,53 @@ def project_planes_oracle(usable, x, y, z, intrinsics, margin):
     valid &= (u >= margin) & (u <= intrinsics.width - 1 - margin)
     valid &= (v >= margin) & (v <= intrinsics.height - 1 - margin)
     return u, v, valid
+
+
+def loss_gradient_fd_oracle(f_refs, params, batches, config, step=FD_STEP):
+    """``losses.loss_gradient_fd`` with every channel of every bump
+    re-interpolated: the (sign, corner, channel) bumps stack ahead of the
+    rows of one (2, 4, d, N, 4, D) stencil, whose ``values()`` and
+    ``gradients()`` feed ``_term``, and ``np.add.at`` scatters the
+    differences into per-pair planes."""
+    params = np.asarray(params, dtype=np.float64)
+    d = params.shape[2]
+    sizes = [len(batch) for batch in batches]
+    batch = CorrespondenceBatch(**{
+        name: np.concatenate([getattr(b, name) for b in batches])
+        for name in CorrespondenceBatch.__dataclass_fields__
+    })
+    f_ref = np.concatenate(f_refs)
+    pair = np.repeat(np.arange(len(sizes)), sizes)
+    scale = 2.0 * step * np.repeat(sizes, sizes)
+    grads = np.zeros((len(sizes),) + params.shape)
+
+    tgt_map = FeatureMap(params)
+    corner = np.arange(4)[:, None]
+    chan = np.arange(d)[None, :]
+    terms = {}
+    for name, (weight_field, field) in TERMS.items():
+        st = gather_stencil(tgt_map, getattr(batch, field))
+        terms[name] = _term(name, st.values(), st.gradients(), f_ref, batch, config)
+        weight = getattr(config, weight_field)
+        if weight == 0.0:
+            continue
+        iv = st.iv0[:, None] + (0, 0, 1, 1)
+        iu = st.iu0[:, None] + (0, 1, 0, 1)
+        base = params[iv, iu].transpose(1, 2, 0)  # (corner, channel, row)
+        bumped = np.broadcast_to(st.corners, (2, 4, d) + st.corners.shape).copy()
+        bumped[0, corner, chan, :, corner, chan] = np.float32(base + step)
+        bumped[1, corner, chan, :, corner, chan] = np.float32(base - step)
+        stacked = Stencil(bumped, st.fu, st.fv, st.iu0, st.iv0)
+        values = _term(name, stacked.values(), stacked.gradients(), f_ref, batch, config)
+        contrib = weight * (values[0] - values[1]) / scale
+        np.add.at(grads, (pair, iv.T[:, None, :], iu.T[:, None, :], chan[:, :, None]), contrib)
+
+    grad = np.zeros_like(params)
+    for plane in grads:
+        grad += plane
+    ends = np.cumsum(sizes)
+    losses = [
+        _breakdown({name: values[end - n:end] for name, values in terms.items()}, config)
+        for n, end in zip(sizes, ends)
+    ]
+    return grad, losses

@@ -7,15 +7,25 @@ exact 0/1 weights included.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from featalign.feature_maps import Stencil, _cells, _stencil
+from featalign.feature_maps import (
+    FeatureMap,
+    Stencil,
+    _cells,
+    _corner_sum,
+    _corner_weights,
+    _stencil,
+    gather_stencil,
+)
 from featalign.geometry import Z_MIN, CameraIntrinsics, _project_planes, pose_twist_jacobian
 from featalign.lm_align import _damping_matrix, build_normal_equations
+from featalign.losses import TERMS, LossConfig, loss_gradient_fd, sample_batch
 
 from solver_helpers import (
     cells_oracle,
+    loss_gradient_fd_oracle,
     marquardt_matrix_oracle,
     normal_equations_oracle,
     project_planes_oracle,
@@ -111,6 +121,14 @@ class TestStencil:
         _same(st_.gradients(), stencil_gradients_oracle(st_))
 
     @ORACLE
+    @given(n=ROWS, d=st.sampled_from([2, 3, 8]), stacked=st.booleans(), seed=SEEDS)
+    def test_corner_sum_per_channel_equals_values_from_two_channels(self, n, d, stacked, seed):
+        st_ = self._stencil(np.random.default_rng(seed), n, d, stacked)
+        weights = _corner_weights(st_.fu, st_.fv, np.empty((4, n)))
+        planes = [_corner_sum(weights, np.moveaxis(st_.corners[..., c], -1, 0)) for c in range(d)]
+        _same(np.stack(planes, axis=-1), st_.values())
+
+    @ORACLE
     @given(n=ROWS, seed=SEEDS)
     def test_cells_truncate_as_floor(self, n, seed):
         rng = np.random.default_rng(seed)
@@ -139,3 +157,42 @@ class TestProjectPlanes:
         for got, want in zip(_project_planes(usable, x, y, z, k, 2.0),
                              project_planes_oracle(usable, x, y, z, k, 2.0)):
             _same(got, want)
+
+
+class TestLossGradientFD:
+    """One re-interpolated channel per bump against the full bump stack."""
+
+    @ORACLE
+    @given(
+        d=st.sampled_from([1, 2, 3, 4, 8]),
+        sizes=st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True),
+        zeroed=st.sampled_from([None, *(weight for weight, _ in TERMS.values())]),
+        seed=SEEDS,
+    )
+    @example(d=1, sizes=[1], zeroed=None, seed=0)
+    @example(d=2, sizes=[1, 7, 3], zeroed=None, seed=1)
+    def test_equals_full_stack_bumps(self, d, sizes, zeroed, seed):
+        rng = np.random.default_rng(seed)
+        h = w = 24
+        params = rng.normal(size=(h, w, d))
+        weights = {"w_gd": 4.0, "w_gn": 0.2, **({zeroed: 0.0} if zeroed else {})}
+        cfg = LossConfig(gd_radius=3.0, **weights)
+        f_refs, batches = [], []
+        for n in sizes:
+            corr = np.column_stack([
+                rng.uniform(6, w - 7, size=n), rng.uniform(6, h - 7, size=n),
+                rng.uniform(7, w - 8, size=n), rng.uniform(7, h - 8, size=n),
+            ])
+            batch = sample_batch(rng, corr, (h, w), cfg)
+            ref = FeatureMap(rng.normal(size=(h, w, d)))
+            f_refs.append(gather_stencil(ref, batch.ref_uv).values())
+            batches.append(batch)
+        assert [len(b) for b in batches] == sizes
+
+        grad, losses = loss_gradient_fd(f_refs, params, batches, cfg)
+        want_grad, want_losses = loss_gradient_fd_oracle(f_refs, params, batches, cfg)
+        _same(grad, want_grad)
+        assert len(losses) == len(want_losses) == len(sizes)
+        for (total, breakdown), (want_total, want) in zip(losses, want_losses):
+            assert list(breakdown) == list(want)
+            _same(np.array([total, *breakdown.values()]), np.array([want_total, *want.values()]))

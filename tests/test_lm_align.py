@@ -93,6 +93,21 @@ class TestHuber:
     def test_zero_norm_weight_is_one(self):
         assert huber_weights(np.array([0.0]), 0.3)[0] == 1.0
 
+    def test_weight_below_1e_300_is_gamma_over_norm(self):
+        gamma, s = 7.1e-301, 9e-301
+        got = huber_weights(np.array([s]), gamma)[0]
+        assert np.float64(got).tobytes() == np.float64(gamma / s).tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(gamma=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
+    def test_weights_are_one_or_gamma_over_norm(self, gamma, seed):
+        rng = np.random.default_rng(seed)
+        s = gamma * rng.uniform(0.0, 3.0, size=64)
+        s[:4] = (0.0, gamma, np.nextafter(gamma, 0.0), np.nextafter(gamma, np.inf))
+        with np.errstate(divide="ignore"):
+            want = np.where(s <= gamma, 1.0, gamma / s)
+        assert huber_weights(s, gamma).tobytes() == want.tobytes()
+
 
 class TestComputeResiduals:
     def test_identical_maps_identity_pose(self):

@@ -71,7 +71,8 @@ def gn_system(ref, tgt, p, q):
     """Residual, Jacobian, Hessian and rhs of one target sample, from its stencil."""
     f_ref = gather_stencil(ref, np.asarray(p, dtype=np.float64)[None, :]).values()
     st = gather_stencil(tgt, np.asarray(q, dtype=np.float64)[None, :])
-    res, jac, hess, rhs = _gn_pieces(st, f_ref)
+    jac = st.gradients()
+    res, hess, rhs = _gn_pieces(st.values(), jac, f_ref)
     return res[0], jac[0], hess[0], rhs[0]
 
 
