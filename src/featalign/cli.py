@@ -29,7 +29,7 @@ from .geometry import (
     warp_points,
 )
 from .lm_align import LMConfig, align_coarse_to_fine, load_points_text
-from .losses import TERMS, LossConfig, LossError, batch_terms, sample_batch, total_loss
+from .losses import TERMS, LossConfig, LossError, _breakdown, batch_terms, sample_batch
 from .pose_init import InitConfig, InitError, corr_pose_init
 from .synth import SynthError, build_dataset, dataset_config_from_mapping, load_manifest
 from .toy_train import ToyTrainConfig, make_toy_training_set, train_toy_features
@@ -130,12 +130,13 @@ def cmd_eval_loss(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     batch = sample_batch(rng, corr, (tgt_map.height, tgt_map.width), config)
-    total, breakdown = total_loss(ref_map, tgt_map, batch, config)
+    # The breakdown is total_loss's, from the one evaluation the CSV reads too.
+    terms = batch_terms(ref_map, tgt_map, batch, config)
+    _, breakdown = _breakdown(terms, config)
     for name in (*TERMS, "total"):
         print(f"{name}: {breakdown[name]:.9g}")
 
     if args.out_csv:
-        terms = batch_terms(ref_map, tgt_map, batch, config)
         with open(args.out_csv, "w") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(("row", "ref_u", "ref_v", *TERMS))

@@ -135,17 +135,11 @@ class Stencil:
         return np.einsum("nc,...ncd->...nd", weights, self.corners)
 
     def gradients(self) -> np.ndarray:
-        """Interpolant gradients d(value)/d(u, v), (..., n, D, 2).
-
-        ``du = (1 - fv) (c1 - c0) + fv (c3 - c2)`` and ``dv = (1 - fu) (c2 -
-        c0) + fu (c3 - c1)``, each added straight into its half of one
-        output array: ``np.stack([du, dv], axis=-1)``'s bytes.
-        """
-        fu, fv = self.fu[:, None], self.fv[:, None]
-        c0, c1, c2, c3 = (self.corners[..., k, :] for k in range(4))
-        out = np.empty(c0.shape + (2,))
-        np.add((1.0 - fv) * (c1 - c0), fv * (c3 - c2), out=out[..., 0])
-        np.add((1.0 - fu) * (c2 - c0), fu * (c3 - c1), out=out[..., 1])
+        """Interpolant gradients d(value)/d(u, v), (..., n, D, 2), from
+        ``_corner_gradients``."""
+        corners = [self.corners[..., k, :] for k in range(4)]
+        out = np.empty(corners[0].shape + (2,))
+        _corner_gradients(corners, self.fu[:, None], self.fv[:, None], (out[..., 0], out[..., 1]))
         return out
 
 
@@ -178,26 +172,33 @@ def _corner_weights(fu: np.ndarray, fv: np.ndarray, out: np.ndarray) -> np.ndarr
     return out
 
 
-def _corner_sum(weights, corners) -> np.ndarray:
-    """The bilinear value ``((w0 c0 + w1 c1) + w2 c2) + w3 c3`` of four
-    corner weights and four corner arrays, in Stencil corner order, each
-    product added in turn into a fresh array. ``corners`` may be any
-    iterable, so a caller can read each corner as the sum needs it.
-
-    For corners with two or more channels this is ``Stencil.values()``'
-    einsum bit for bit, so one channel of a stencil can be interpolated
-    alone: the seed grid reads the target a plane at a time
-    (``lm_align._valid_norms``), and a training-gradient bump moves one
-    channel (``losses.loss_gradient_fd``). At one channel the einsum adds
-    the corners in another order, so a caller that must match it there
-    keeps the einsum.
+def _corner_sum(products) -> np.ndarray:
+    """The bilinear value ``((p0 + p1) + p2) + p3`` of the four corner
+    products ``p_k = w_k c_k``, in Stencil corner order, each added in turn
+    into ``p0``, which the sum overwrites: pass products the caller no
+    longer needs. ``products`` may be any iterable, so a caller can form
+    each product as the sum needs it. The residual kernel
+    (``lm_align._sample_residuals``) and the training gradient's bumps sum
+    their corners here; from two channels on this is ``Stencil.values()``'
+    einsum bit for bit
+    (``test_corner_sum_per_channel_equals_values_from_two_channels``).
     """
-    pairs = zip(weights, corners)
-    weight, corner = next(pairs)
-    out = weight * corner
-    for weight, corner in pairs:
-        out += weight * corner
+    products = iter(products)
+    out = next(products)
+    for product in products:
+        out += product
     return out
+
+
+def _corner_gradients(corners, fu: np.ndarray, fv: np.ndarray, out) -> None:
+    """Write the bilinear interpolant's gradients at cell fractions (fu, fv)
+    of four corner arrays, in Stencil corner order, into ``out[0]`` (d/du,
+    ``(1 - fv) (c1 - c0) + fv (c3 - c2)``) and ``out[1]`` (d/dv,
+    ``(1 - fu) (c2 - c0) + fu (c3 - c1)``): the one home of that formula,
+    for any corner layout (``test_solver_jacobian_equals_stencil_gradients``)."""
+    c0, c1, c2, c3 = corners
+    np.add((1.0 - fv) * (c1 - c0), fv * (c3 - c2), out=out[0])
+    np.add((1.0 - fu) * (c2 - c0), fu * (c3 - c1), out=out[1])
 
 
 def in_margins(uv: np.ndarray, width: int, height: int, margin: float) -> np.ndarray:
@@ -225,12 +226,10 @@ def gather_stencil(fmap: FeatureMap, queries: np.ndarray) -> Stencil:
 
 def _stencil(values: np.ndarray, u: np.ndarray, v: np.ndarray) -> Stencil:
     """Stencil of (h, w, D) ``values`` at (n,) float64 query coordinates
-    ``(u, v)`` in [0, w-1] x [0, h-1].
-
-    The stencil core, shared by ``gather_stencil``, the solver's residuals and
-    ``synth.warp_scene``. Its cells come from ``_cells`` and its values'
-    weights from ``_corner_weights``, which the seed grid's per-plane reads
-    (``lm_align._valid_norms``) share.
+    ``(u, v)`` in [0, w-1] x [0, h-1]: the one-pose read behind
+    ``gather_stencil`` and ``synth.warp_scene``. Its cells come from
+    ``_cells`` and its values' weights from ``_corner_weights``, which the
+    residual kernel (``lm_align._sample_residuals``) shares.
     """
     h, w = values.shape[:2]
     iu0, iv0, fu, fv = _cells(u, v, w, h)

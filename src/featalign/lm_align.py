@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -24,11 +25,10 @@ from .feature_maps import (
     FeatureMap,
     FeaturePyramid,
     SampleOutOfBoundsError,
-    Stencil,
     _cells,
+    _corner_gradients,
     _corner_sum,
     _corner_weights,
-    _stencil,
     gather_stencil,
     in_margins,
 )
@@ -196,7 +196,7 @@ class ResidualEval:
     energy: float
     warped: np.ndarray  # (n, 2) target pixels, meaningful where valid
     transformed: np.ndarray  # (n, 3) target-frame points, meaningful where valid
-    stencil: Stencil  # target samples of the valid points, in point order
+    corners: np.ndarray  # (4, D, k) target corners of the valid points, in point order
 
     @property
     def n_valid(self) -> int:
@@ -207,104 +207,92 @@ class _LevelInputs(NamedTuple):
     """The pose-independent half of one level's residuals."""
 
     points: np.ndarray  # (n, 3) reference-frame points
-    ref_vals: np.ndarray  # (n, D) reference samples, zero where not sampleable
+    ref: np.ndarray  # (D, n) reference samples, zero where not sampleable
     usable: np.ndarray  # (n,) bool, sampleable in the reference with a positive depth
+    planes: np.ndarray  # (D, h*w) the target's channels as float64 planes
+    width: int  # of the target map
+    height: int
+    corner_ids: np.ndarray  # (4, D, 1) flat offsets of a cell's corners in ``planes``
 
 
 def _level_inputs(
-    ref: FeatureMap, uv: np.ndarray, depths: np.ndarray, intrinsics: CameraIntrinsics
+    ref: FeatureMap, tgt: FeatureMap, uv: np.ndarray, depths: np.ndarray,
+    intrinsics: CameraIntrinsics,
 ) -> _LevelInputs:
-    uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
-    points = _unproject(uv, depths, intrinsics)
-    in_ref = in_margins(uv, ref.width, ref.height, SAMPLE_MARGIN)
-    ref_vals = np.zeros((uv.shape[0], ref.channels))
-    ref_vals[in_ref] = gather_stencil(ref, uv[in_ref]).values()
-    return _LevelInputs(points, ref_vals, in_ref & (points[:, 2] > 0.0))
+    """Refuse maps the per-pose kernels cannot compare, then sample the
+    reference and stack the target's planes, once per entry-point call.
 
-
-def _check_pair(ref: FeatureMap, tgt: FeatureMap, intrinsics: CameraIntrinsics) -> None:
-    """Refuse maps the per-pose kernels cannot compare; each entry point
-    runs this once. The channel counts must agree. Valid pixels lie a warp
-    margin of at least ``SAMPLE_MARGIN`` (``_check_margin``) inside the
-    ``intrinsics`` extent, so they are sampled without a second margin test
-    once the target map covers that extent; a smaller one raises
-    ``SampleOutOfBoundsError``."""
+    The channel counts must agree. Valid pixels lie a warp margin of at
+    least ``SAMPLE_MARGIN`` (``_check_margin``) inside the ``intrinsics``
+    extent, so they are sampled without a second margin test once the
+    target map covers that extent; a smaller one raises
+    ``SampleOutOfBoundsError``.
+    """
     if ref.channels != tgt.channels:
         raise AlignmentError(
             f"channel mismatch: {ref.channels}-channel reference map against "
             f"a {tgt.channels}-channel target map"
         )
-    if tgt.width < intrinsics.width or tgt.height < intrinsics.height:
+    h, w, d = tgt.values.shape
+    if w < intrinsics.width or h < intrinsics.height:
         raise SampleOutOfBoundsError(
-            f"{tgt.width}x{tgt.height} target map is smaller than the "
+            f"{w}x{h} target map is smaller than the "
             f"{intrinsics.width}x{intrinsics.height} image of its intrinsics"
         )
+    uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
+    points = _unproject(uv, depths, intrinsics)
+    in_ref = in_margins(uv, ref.width, ref.height, SAMPLE_MARGIN)
+    ref_vals = np.zeros((d, uv.shape[0]))
+    ref_vals[:, in_ref] = gather_stencil(ref, uv[in_ref]).values().T
+    planes = np.ascontiguousarray(tgt.values.reshape(h * w, d).T, dtype=np.float64)
+    corner_ids = (np.array([0, 1, w, w + 1])[:, None] + h * w * np.arange(d))[:, :, None]
+    return _LevelInputs(points, ref_vals, in_ref & (points[:, 2] > 0.0), planes, w, h, corner_ids)
 
 
-def _sample_valid(
-    ref_vals: np.ndarray, tgt: FeatureMap, u: np.ndarray, v: np.ndarray, valid: np.ndarray
-) -> tuple[np.ndarray, Stencil, np.ndarray, np.ndarray]:
-    """Target stencil, residuals and norms of the valid points of an (n,) mask.
+def _sample_residuals(level: _LevelInputs, u, v, valid, keep_corners=False) -> tuple:
+    """Feature residuals at the target pixels ``(u, v)`` of the valid
+    entries of an (n,) or (M, n) mask over ``level``'s n points: the one
+    residual kernel of the solver (``_evaluate``) and the seed grid
+    (``_grid_bounds``).
 
-    ``(u, v)`` (n,) hold target pixels and ``ref_vals`` (n, D) the
-    reference samples. Returns the ascending ids of the valid points, their
-    stencil, their (k, D) residuals and (k,) norms (``_check_pair``).
+    Returns ``(ids, residuals, norms, corners, fu, fv)``: the ascending flat
+    ids of the k valid entries, their (D, k) residuals, their (k,) norms
+    (squares summed in channel order), their corners and their cell
+    fractions. The solver asks to ``keep_corners``: one (4, D, k) take,
+    kept for the Jacobian, whose products come from one broadcast multiply.
+    The seed streams each corner as a (D, k) read, and ``corners`` is None.
+    Both sum their products with ``_corner_sum``, so both give the same
+    bytes (``test_solver_corner_sum_equals_corner_sum``). Valid pixels are
+    read without a margin test (``_level_inputs``).
     """
-    # take moves the same bytes as boolean-mask indexing, faster.
-    ids = valid.nonzero()[0]
-    stencil = _stencil(tgt.values, u.take(ids), v.take(ids))
-    res = stencil.values() - ref_vals.take(ids, axis=0)
-    # np.linalg.norm(res, axis=1)'s own formula, without its dispatch.
-    return ids, stencil, res, np.sqrt(np.add.reduce(res * res, axis=1))
-
-
-def _valid_norms(
-    ref_vals: np.ndarray, tgt: FeatureMap, u: np.ndarray, v: np.ndarray, valid: np.ndarray
-) -> np.ndarray:
-    """Residual norms (M, n) at the target pixels ``(u, v)`` of the valid
-    entries of an (M, n) mask, zero where invalid: row i holds
-    ``compute_residuals``' norms at pose i. The seed grid scores with them.
-
-    The valid entries are compacted to flat arrays, and each channel is
-    read from its own float64 plane of the target: ``_corner_sum``, minus
-    the reference, squared and summed in channel order, then the square
-    root. For 2 <= D <= 7 that is ``Stencil.values()``' einsum and
-    ``np.linalg.norm``'s sum bit for bit, so the norms equal
-    ``compute_residuals``'. At D = 1 the einsum adds the corners in
-    another order, and from D = 8 on the norm sums channels pairwise, so
-    there a norm can differ from the solver's in the last bits. Every seed
-    energy and bound comes from this one function, so the seed is still
-    the exact argmin of its own energies at every D. The caller has run
-    ``_check_pair``.
-    """
-    h, w = tgt.height, tgt.width
-    flat = np.flatnonzero(valid)
-    iu0, iv0, fu, fv = _cells(u.take(flat), v.take(flat), w, h)
-    weights = _corner_weights(fu, fv, np.empty((4, flat.size)))
+    planes, w = level.planes, level.width
+    ids = valid.reshape(-1).nonzero()[0]
+    iu0, iv0, fu, fv = _cells(u.take(ids), v.take(ids), w, level.height)
+    weights = _corner_weights(fu, fv, np.empty((4, ids.size)))
     cell = iv0 * w + iu0
-    planes = np.ascontiguousarray(tgt.values.reshape(h * w, -1).T, dtype=np.float64)
-    # Point ids of the entries; floor division is about twice as fast as %.
+    corners = None
+    if keep_corners:
+        corners = planes.take(level.corner_ids + cell)
+        values = _corner_sum(weights[:, None] * corners)
+    else:
+        # A plane stack viewed from offset o reads cell + o. Each read is
+        # fresh, so it is scaled in place.
+        reads = (planes[:, o:].take(cell, axis=1) for o in (0, 1, w, w + 1))
+        values = _corner_sum(np.multiply(read, wt, out=read) for read, wt in zip(reads, weights))
     n = valid.shape[-1]
-    ids = flat - n * (flat // n)
-    squares = np.zeros(flat.size)
-    for plane, ref_plane in zip(planes, np.ascontiguousarray(ref_vals.T)):
-        # A plane viewed from offset o reads cell + o, so one cell id array
-        # serves all four corners.
-        corners = (plane[offset:].take(cell) for offset in (0, 1, w, w + 1))
-        res = _corner_sum(weights, corners)
-        res -= ref_plane.take(ids)
-        squares += res * res
-    norms = np.zeros(valid.shape)
-    norms.reshape(-1)[flat] = np.sqrt(squares)
-    return norms
+    # Floor division is about twice as fast as %.
+    values -= level.ref.take(ids if valid.ndim == 1 else ids - n * (ids // n), axis=1)
+    return ids, values, np.sqrt(reduce(np.add, values * values)), corners, fu, fv
 
 
 class _ValidEval(NamedTuple):
     """Residuals of one level at one pose over its k valid points only."""
 
     ids: np.ndarray  # (k,) ascending indices of the valid points
-    stencil: Stencil  # their target samples
-    residuals: np.ndarray  # (k, D)
+    corners: np.ndarray  # (4, D, k) their target corners
+    fu: np.ndarray  # (k,) their cell fractions
+    fv: np.ndarray  # (k,)
+    residuals: np.ndarray  # (k, D), C-ordered
     norms: np.ndarray  # (k,)
     transformed: np.ndarray  # (k, 3) target-frame points
     energy: float
@@ -315,16 +303,17 @@ class _ValidEval(NamedTuple):
 
 
 def _evaluate(
-    level: _LevelInputs, tgt: FeatureMap, pose: SE3Pose, intrinsics: CameraIntrinsics,
+    level: _LevelInputs, pose: SE3Pose, intrinsics: CameraIntrinsics,
     huber_gamma: float, margin: float,
 ) -> _ValidEval:
-    """``compute_residuals``' rows whose mask is set, bit for bit, without
-    the zero-padded (n, ...) arrays the solver would only skip again."""
+    """``compute_residuals``' rows whose mask is set, without the
+    zero-padded (n, ...) arrays the solver would only skip again."""
     u, v, valid, transformed = _warp(level.points, level.usable, pose, intrinsics, margin)
-    ids, stencil, res, norms = _sample_valid(level.ref_vals, tgt, u, v, valid)
+    ids, res, norms, corners, fu, fv = _sample_residuals(level, u, v, valid, True)
+    # A transposed view would change build_normal_equations' sums.
     return _ValidEval(
-        ids, stencil, res, norms, transformed.take(ids, axis=0),
-        huber_energy(norms, huber_gamma),
+        ids, corners, fu, fv, np.ascontiguousarray(res.T), norms,
+        transformed.take(ids, axis=0), huber_energy(norms, huber_gamma),
     )
 
 
@@ -344,34 +333,34 @@ def compute_residuals(
     warp leaves the margins, falls behind the camera, or whose own
     coordinates cannot be sampled in the reference are marked invalid and
     contribute nothing: ``warp_points``' own ``_warp``, then
-    ``_sample_valid``, zero-padded to all n points. ``margin`` must be at
-    least ``SAMPLE_MARGIN``.
+    ``_sample_residuals``, zero-padded to all n points. ``margin`` must be
+    at least ``SAMPLE_MARGIN``.
     """
     _check_margin(margin)
-    _check_pair(ref, tgt, intrinsics)
-    level = _level_inputs(ref, uv, depths, intrinsics)
+    level = _level_inputs(ref, tgt, uv, depths, intrinsics)
     u, v, valid, transformed = _warp(level.points, level.usable, pose, intrinsics, margin)
-    ids, stencil, res, norms = _sample_valid(level.ref_vals, tgt, u, v, valid)
+    ids, res, norms, corners, _, _ = _sample_residuals(level, u, v, valid, True)
     residuals = np.zeros((valid.shape[0], tgt.channels))
-    residuals[ids] = res
+    residuals[ids] = res.T
     padded = np.zeros(valid.shape[0])
     padded[ids] = norms
     return ResidualEval(
         residuals, valid, padded, huber_energy(norms, huber_gamma),
-        np.stack([u, v], axis=-1), transformed, stencil,
+        np.stack([u, v], axis=-1), transformed, corners,
     )
 
 
-def _stencil_jacobian(
-    stencil: Stencil, transformed: np.ndarray, intrinsics: CameraIntrinsics
-) -> np.ndarray:
-    """d(residual)/d(twist) at delta = 0 of sampled points, (m, D, 2) @ (m, 2, 6).
+def _stencil_jacobian(ev: _ValidEval, intrinsics: CameraIntrinsics) -> np.ndarray:
+    """d(residual)/d(twist) at delta = 0 of the k points of ``ev``, (k, D, 2) @ (k, 2, 6).
 
     The reference term has no pose dependence, so the Jacobian is the
-    target feature gradient chained with the projection and the left-update
-    point motion of the target-frame points ``transformed``.
+    target feature gradient (``_corner_gradients`` of the kept corners)
+    chained with the projection and the left-update point motion of the
+    target-frame points.
     """
-    return stencil.gradients() @ pose_twist_jacobian(transformed, intrinsics)
+    grads = np.empty((ev.fu.size, ev.corners.shape[1], 2))
+    _corner_gradients(ev.corners, ev.fu, ev.fv, grads.T)
+    return grads @ pose_twist_jacobian(ev.transformed, intrinsics)
 
 
 def compute_jacobian(
@@ -391,7 +380,7 @@ def compute_jacobian(
     warped, valid, transformed = warp_points(uv, depths, pose, intrinsics, margin=margin)
     jac = np.zeros((valid.shape[0], tgt.channels, 6))
     stencil = gather_stencil(tgt, warped[valid])
-    jac[valid] = _stencil_jacobian(stencil, transformed[valid], intrinsics)
+    jac[valid] = stencil.gradients() @ pose_twist_jacobian(transformed[valid], intrinsics)
     return jac, valid
 
 
@@ -535,23 +524,22 @@ def align_level(
 ) -> tuple[SE3Pose, LevelStats]:
     """Run damped Gauss-Newton iterations on a single pyramid level.
 
-    ``uv`` must be in this level's coordinates. The reference samples and
-    the unprojected points are computed once. Each pose is evaluated over
-    its valid points only (``_evaluate``): the Jacobian reuses the target
-    stencil the residuals were sampled with, and the Huber weights and the
-    normal equations run over those k rows, which gives the same bits as
-    the zero-padded n rows would. The system is rebuilt only after an
-    accepted step; rejected steps reuse it with a larger damping factor,
-    which is equivalent to rebuilding at the unchanged pose.
+    ``uv`` must be in this level's coordinates. The reference samples,
+    the unprojected points and the target's planes are computed once. Each
+    pose is evaluated over its valid points only (``_evaluate``): the
+    Jacobian reuses the target corners the residuals were sampled with,
+    and the Huber weights and the normal equations run over those k rows.
+    The system is rebuilt only after an accepted step; rejected steps
+    reuse it with a larger damping factor, which is equivalent to
+    rebuilding at the unchanged pose.
     """
-    _check_pair(ref, tgt, intrinsics)
-    inputs = _level_inputs(ref, uv, depths, intrinsics)
+    inputs = _level_inputs(ref, tgt, uv, depths, intrinsics)
     stats = LevelStats(level=level, n_points=inputs.points.shape[0])
     pose = init_pose
     lam = config.lambda_init
 
     def evaluate(at: SE3Pose) -> _ValidEval:
-        return _evaluate(inputs, tgt, at, intrinsics, config.huber_gamma, config.margin)
+        return _evaluate(inputs, at, intrinsics, config.huber_gamma, config.margin)
 
     current = evaluate(pose)
     if current.n_valid < config.min_valid_points:
@@ -571,7 +559,7 @@ def align_level(
             stats.termination = "lambda_cap"
             break
         if not system_fresh:
-            jac = _stencil_jacobian(current.stencil, current.transformed, intrinsics)
+            jac = _stencil_jacobian(current, intrinsics)
             weights = huber_weights(current.norms, config.huber_gamma)
             h, b = build_normal_equations(jac, current.residuals, weights)
             damping = _damping_matrix(h, config.damping)

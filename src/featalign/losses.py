@@ -399,7 +399,9 @@ def loss_gradient_fd(
             moved_values = moved.values()[..., 0]
         else:
             weights = _corner_weights(st.fu, st.fv, np.empty((4, st.fu.size)))
-            moved_values = _corner_sum(weights, np.moveaxis(bumped, -1, 0))
+            moved_values = _corner_sum(
+                wt * plane for wt, plane in zip(weights, np.moveaxis(bumped, -1, 0))
+            )
         # Each bump's rows: the unbumped rows with its one channel replaced.
         stack_values = _with_channel(values, moved_values)
         stack_jac = None if jac is None else _with_channel(jac, moved.gradients()[..., 0, :])

@@ -28,22 +28,22 @@ from .geometry import CameraIntrinsics, SE3Pose, _project_planes
 from .lm_align import (
     LMConfig,
     SparsePointSet,
-    _check_pair,
     _huber,
     _level_inputs,
     _LevelInputs,
-    _valid_norms,
+    _sample_residuals,
 )
 
 CORRELATION_BUDGET = 4096  # max pixels per map in the all-pairs product
-# Candidate rows per ``_valid_norms`` call when every point is sampled; a
-# bound round at stride s runs s times as many rows over 1/s of the points.
-# The kernel's temporaries are flat float64 arrays over a block's valid
-# entries, up to 16,384 of them at 64 points. Measured in-process on the
-# 120 reloc_corr pairs of seed 7, 256 rows take about 540 minor page faults
-# per pair against 1,220 at 512 rows, while 128 and 64 rows lose more to
-# per-block overhead than they save (seed ms per pair 9.7, 9.0, 9.5 and
-# 11.8 at 512, 256, 128 and 64 rows; 256 also wins at seed 11).
+# Candidate rows per ``_sample_residuals`` call when every point is
+# sampled; a bound round at stride s runs s times as many rows over 1/s of
+# the points. The kernel's temporaries are (D, k) float64 arrays over a
+# block's k valid entries, up to 16,384 per channel at 64 points.
+# Measured in-process on the 120 reloc_corr pairs of seed 7, per pair
+# interleaved with the earlier kernel (one channel plane at a time, 256
+# rows), the seed took 1.00 of its time in sum at 256 rows, 1.01 at 192
+# and 1.04 at 128, where the heaviest pairs' extra blocks cost more than
+# the smaller arrays save.
 _GRID_BLOCK = 256
 # The seed grid is scored in full only where it can still win (``_best_row``):
 # every row first gets a lower bound from every 8th point, the rows that
@@ -169,9 +169,8 @@ def candidate_energy(
     """The seed's coarse-level energy of one pose: ``_grid_energies``'s
     one-row call, so it equals that pose's row in the grid bit for bit."""
     k1 = intrinsics.at_level(1)
-    _check_pair(ref_l1, tgt_l1, k1)
     return float(_grid_energies(
-        _level_inputs(ref_l1, points.at_level(1), points.depths, k1), tgt_l1,
+        _level_inputs(ref_l1, tgt_l1, points.at_level(1), points.depths, k1),
         pose.rotation[None], np.zeros(1, dtype=np.intp), pose.translation[None], k1,
         lm_config or LMConfig(),
     )[0])
@@ -179,7 +178,6 @@ def candidate_energy(
 
 def _grid_energies(
     level: _LevelInputs,
-    tgt_l1: FeatureMap,
     rotations: np.ndarray,
     rot_index: np.ndarray,
     translations: np.ndarray,
@@ -189,13 +187,11 @@ def _grid_energies(
     """Mean per-valid-point Huber energy at the coarsest level of the rows
     whose poses are ``rotations[rot_index[i]], translations[i]``.
 
-    Every row warps with the solver's margin and reads its residual norms
-    from ``_valid_norms``, one target channel plane at a time, with the
-    solver's Huber gamma. For 2 <= D <= 7 channels those norms are
-    ``compute_residuals``' bit for bit; at D = 1 and D >= 8 they can differ
-    in the last bits (``_valid_norms``). The seed's bounds and energies
-    all come from that one kernel, so at every D the chosen row is the
-    exact argmin of these energies. A row is infinite when fewer than
+    Every row warps with the solver's margin and gets its residual norms
+    from the solver's kernel, ``_sample_residuals``, so they are
+    ``_evaluate``'s norms bit for bit at every D
+    (``test_seed_norms_equal_solver_norms``); the Huber gamma is the
+    solver's too. A row is infinite when fewer than
     ``lm_config.min_valid_points`` survive the warp, so a candidate cannot
     win by throwing points away. Rows are summed with their invalid (zero)
     entries in place, so an energy can differ from the serial
@@ -205,12 +201,11 @@ def _grid_energies(
     energy. Each row's energy depends on that row alone, so any subset of
     the rows, in any blocks, gives the same bits.
     """
-    return _grid_bounds(level, tgt_l1, rotations, rot_index, translations, k1, lm_config, 1)[0]
+    return _grid_bounds(level, rotations, rot_index, translations, k1, lm_config, 1)[0]
 
 
 def _grid_bounds(
     level: _LevelInputs,
-    tgt_l1: FeatureMap,
     rotations: np.ndarray,
     rot_index: np.ndarray,
     translations: np.ndarray,
@@ -243,21 +238,23 @@ def _grid_bounds(
       the bound, does not favour rows that lose points.
     """
     sampled = slice(None, None, stride)
-    points = level.points[sampled]
-    usable = level.usable[sampled]
-    ref_vals = level.ref_vals[sampled]
-    unsampled = np.count_nonzero(level.usable) - np.count_nonzero(usable)
+    sub = level._replace(
+        points=level.points[sampled], ref=level.ref[:, sampled], usable=level.usable[sampled]
+    )
+    unsampled = np.count_nonzero(level.usable) - np.count_nonzero(sub.usable)
     bounds = np.empty(rot_index.shape[0])
     estimates = np.empty(rot_index.shape[0])
     block = _GRID_BLOCK * stride
     for start in range(0, rot_index.shape[0], block):
         rows = slice(start, start + block)
         turns, turn_of_row = np.unique(rot_index[rows], return_inverse=True)
-        planes = (points @ rotations[turns].transpose(0, 2, 1)).transpose(2, 0, 1)
+        planes = (sub.points @ rotations[turns].transpose(0, 2, 1)).transpose(2, 0, 1)
         t = translations[rows]
         x, y, z = (planes[c].take(turn_of_row, axis=0) + t[:, c, None] for c in range(3))
-        u, v, valid = _project_planes(usable, x, y, z, k1, lm_config.margin)
-        norms = _valid_norms(ref_vals, tgt_l1, u, v, valid)
+        u, v, valid = _project_planes(sub.usable, x, y, z, k1, lm_config.margin)
+        ids, _, kept, *_ = _sample_residuals(sub, u, v, valid)
+        norms = np.zeros(valid.shape)
+        norms.reshape(-1)[ids] = kept
         sums = _huber(norms, lm_config.huber_gamma).sum(axis=1)
         n_sampled = np.count_nonzero(valid, axis=1)
         n_upper = n_sampled + unsampled
@@ -269,7 +266,6 @@ def _grid_bounds(
 
 def _best_row(
     level: _LevelInputs,
-    tgt_l1: FeatureMap,
     rotations: np.ndarray,
     rot_index: np.ndarray,
     translations: np.ndarray,
@@ -298,7 +294,7 @@ def _best_row(
 
     def score(rows):
         energies[rows] = _grid_energies(
-            level, tgt_l1, rotations, rot_index[rows], translations[rows], k1, lm_config
+            level, rotations, rot_index[rows], translations[rows], k1, lm_config
         )
         alive[rows] = False
 
@@ -307,7 +303,7 @@ def _best_row(
         if not rows.size:
             break
         bounds, estimates = _grid_bounds(
-            level, tgt_l1, rotations, rot_index[rows], translations[rows], k1, lm_config, stride
+            level, rotations, rot_index[rows], translations[rows], k1, lm_config, stride
         )
         promising = rows
         if rows.size > _FIRST_EXACT:
@@ -349,7 +345,7 @@ def corr_pose_init(
     beats identity, and identity when no candidate keeps
     ``min_valid_points``. Degenerate inputs (too-large
     maps, too few points) fall back to identity rather than raising; maps
-    the solver cannot compare raise as in ``align_level`` (``_check_pair``).
+    the solver cannot compare raise as in ``align_level`` (``_level_inputs``).
     """
     config = config or InitConfig()
     lm_config = lm_config or LMConfig()
@@ -362,7 +358,7 @@ def corr_pose_init(
     ):
         return SE3Pose.identity()
     k1 = intrinsics.at_level(1)
-    _check_pair(ref_l1, tgt_l1, k1)
+    level = _level_inputs(ref_l1, tgt_l1, points.at_level(1), points.depths, k1)
 
     volume = correlation_map(ref_l1, tgt_l1)
     du, dv = median_correlation_flow(volume)
@@ -400,6 +396,5 @@ def corr_pose_init(
     rotations = np.concatenate([np.eye(3)[None], rot_ang])
     rot_index = np.concatenate([[0], np.repeat(np.arange(1, n_ang + 1), t_off.shape[0])])
     translations = np.concatenate([np.zeros((1, 3)), *[t_seed + t_off] * n_ang])
-    level = _level_inputs(ref_l1, points.at_level(1), points.depths, k1)
-    best = _best_row(level, tgt_l1, rotations, rot_index, translations, k1, lm_config)
+    best = _best_row(level, rotations, rot_index, translations, k1, lm_config)
     return SE3Pose(rotation=rotations[rot_index[best]], translation=translations[best])

@@ -1,6 +1,6 @@
 """Solver helpers that only the tests call, kept out of ``featalign``.
 
-Besides ``damp``, this module keeps the earlier formulas of the LM
+Besides ``damp`` and ``kernel_inputs``, this module keeps the earlier formulas of the LM
 iteration's kernels, and of the training gradient, as oracles: each is
 written the way the kernel computed it before its NumPy calls were cut, and
 the kernel must still return its bytes.
@@ -10,7 +10,7 @@ import numpy as np
 
 from featalign.feature_maps import FeatureMap, Stencil, gather_stencil
 from featalign.geometry import Z_MIN
-from featalign.lm_align import _damping_matrix
+from featalign.lm_align import _damping_matrix, _level_inputs
 from featalign.losses import FD_STEP, TERMS, CorrespondenceBatch, _breakdown, _term
 
 
@@ -18,6 +18,14 @@ def damp(h: np.ndarray, lam: float, mode: str) -> np.ndarray:
     """Apply damping: H + lam * I (levenberg) or H + lam * diag(H) (marquardt),
     the damped system ``align_level`` solves."""
     return h + lam * _damping_matrix(h, mode)
+
+
+def kernel_inputs(tgt: FeatureMap, ref_vals: np.ndarray, intrinsics):
+    """``_level_inputs`` of the target map ``tgt`` with the (n, D) reference
+    samples ``ref_vals``: what the residual kernel reads, without a
+    reference map or points."""
+    level = _level_inputs(tgt, tgt, np.zeros((0, 2)), np.zeros(0), intrinsics)
+    return level._replace(ref=np.ascontiguousarray(ref_vals.T))
 
 
 def normal_equations_oracle(jac, residuals, weights):

@@ -11,6 +11,7 @@ import struct
 import numpy as np
 import pytest
 
+from featalign import losses
 from featalign.cli import EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, main
 from featalign.evaluation import run_trial
 from featalign.feature_maps import FMAP_MAGIC, FMAP_VERSION, load_feature_maps
@@ -232,6 +233,21 @@ class TestEvalLoss:
         assert summary["n_samples"] >= 1
         # ground-truth correspondences on an exact pair: match stays tiny
         assert summary["breakdown"]["match"] < 1e-10
+
+    def test_terms_evaluated_once(self, dataset, tmp_path, monkeypatch):
+        # The printed breakdown and the CSV rows come from one evaluation.
+        args, gt = pair_args(dataset)
+        calls = []
+        real = losses._term
+
+        def counted(name, *rest):
+            calls.append(name)
+            return real(name, *rest)
+
+        monkeypatch.setattr(losses, "_term", counted)
+        code = main(["eval-loss", *args, "--gt", gt, "--out-csv", str(tmp_path / "terms.csv")])
+        assert code == EXIT_OK
+        assert calls == list(losses.TERMS)
 
     def test_deterministic_given_seed(self, dataset, tmp_path):
         args, gt = pair_args(dataset)

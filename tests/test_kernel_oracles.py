@@ -3,7 +3,8 @@
 Each kernel was rewritten with fewer NumPy calls; ``solver_helpers`` keeps
 the formula it had before, and the two must give the same bytes on every
 input the solver, the seed grid or the losses can pass, signed zeros and
-exact 0/1 weights included.
+exact 0/1 weights included. The residual kernel's two corner reads are
+pinned to ``_corner_sum`` and ``Stencil.gradients()`` here too.
 """
 
 import numpy as np
@@ -20,11 +21,18 @@ from featalign.feature_maps import (
     gather_stencil,
 )
 from featalign.geometry import Z_MIN, CameraIntrinsics, _project_planes, pose_twist_jacobian
-from featalign.lm_align import _damping_matrix, build_normal_equations
+from featalign.lm_align import (
+    _ValidEval,
+    _damping_matrix,
+    _sample_residuals,
+    _stencil_jacobian,
+    build_normal_equations,
+)
 from featalign.losses import TERMS, LossConfig, loss_gradient_fd, sample_batch
 
 from solver_helpers import (
     cells_oracle,
+    kernel_inputs,
     loss_gradient_fd_oracle,
     marquardt_matrix_oracle,
     normal_equations_oracle,
@@ -125,7 +133,10 @@ class TestStencil:
     def test_corner_sum_per_channel_equals_values_from_two_channels(self, n, d, stacked, seed):
         st_ = self._stencil(np.random.default_rng(seed), n, d, stacked)
         weights = _corner_weights(st_.fu, st_.fv, np.empty((4, n)))
-        planes = [_corner_sum(weights, np.moveaxis(st_.corners[..., c], -1, 0)) for c in range(d)]
+        planes = []
+        for c in range(d):
+            corners = np.moveaxis(st_.corners[..., c], -1, 0)
+            planes.append(_corner_sum(wt * corner for wt, corner in zip(weights, corners)))
         _same(np.stack(planes, axis=-1), st_.values())
 
     @ORACLE
@@ -140,6 +151,78 @@ class TestStencil:
         u[pick > 0.9] = -0.0
         for got, want in zip(_cells(u, v, 16, 12), cells_oracle(u, v, 16, 12)):
             _same(got, want)
+
+
+K_16x12 = CameraIntrinsics(fx=20.0, fy=22.0, cx=8.0, cy=6.0, width=16, height=12)
+
+
+class TestResidualKernel:
+    """The solver's read of ``_sample_residuals`` (one (4, D, k) take, one
+    broadcast product) against the corner sum spelled out and against the
+    seed's streamed (D, k) reads."""
+
+    @staticmethod
+    def _case(rng, n, d, zero_frac):
+        values = rng.normal(size=(12, 16, d)).astype(np.float32)
+        zeros = rng.random(values.shape) < zero_frac
+        values[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+        u = rng.uniform(1.0, 14.0, size=n)
+        v = rng.uniform(1.0, 10.0, size=n)
+        # Zero cell fractions: zero corner weights.
+        pick = rng.random(n)
+        u[pick < 0.3] = np.floor(u[pick < 0.3])
+        v[pick > 0.6] = np.floor(v[pick > 0.6])
+        return values, u, v, rng.random(n) < 0.8
+
+    @ORACLE
+    @given(n=st.integers(0, 200), d=st.integers(1, 16),
+           zero_frac=st.sampled_from([0.0, 0.2, 0.9]), seed=SEEDS)
+    def test_solver_corner_sum_equals_corner_sum(self, n, d, zero_frac, seed):
+        values, u, v, valid = self._case(np.random.default_rng(seed), n, d, zero_frac)
+        # A +0.0 reference keeps each sum's bytes, signed zeros included.
+        level = kernel_inputs(FeatureMap(values), np.zeros((n, d)), K_16x12)
+        ids, res, norms, corners, fu, fv = _sample_residuals(level, u, v, valid, True)
+        st_ = _stencil(values, u[valid], v[valid])
+        _same(corners, np.ascontiguousarray(st_.corners.transpose(1, 2, 0)))
+        _same(fu, st_.fu)
+        _same(fv, st_.fv)
+        # The corner sum spelled out, so that no shared code hides a change.
+        w0, w1, w2, w3 = _corner_weights(fu, fv, np.empty((4, ids.size)))
+        c0, c1, c2, c3 = corners
+        _same(res, ((w0 * c0 + w1 * c1) + w2 * c2) + w3 * c3)
+        streamed = _sample_residuals(level, u, v, valid)
+        for got, want in zip((ids, res, norms, fu, fv), streamed[:3] + streamed[4:]):
+            _same(got, want)
+
+    @ORACLE
+    @given(n=st.integers(1, 3), d=st.integers(1, 16), keep=st.booleans(), seed=SEEDS)
+    def test_norms_sum_squares_in_channel_order(self, n, d, keep, seed):
+        # With one or a few points, np.add.reduce over the channel axis sums
+        # 8 or more squares pairwise.
+        rng = np.random.default_rng(seed)
+        values, u, v, _ = self._case(rng, n, d, 0.2)
+        ref = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-5, 5, size=d)
+        ids, res, norms, *_ = _sample_residuals(
+            kernel_inputs(FeatureMap(values), ref, K_16x12), u, v, np.ones(n, dtype=bool), keep
+        )
+        squares = np.zeros(n)
+        for row in res:
+            squares += row * row
+        _same(norms, np.sqrt(squares))
+
+    @ORACLE
+    @given(n=st.integers(0, 200), d=st.integers(1, 16), seed=SEEDS)
+    def test_solver_jacobian_equals_stencil_gradients(self, n, d, seed):
+        rng = np.random.default_rng(seed)
+        values, u, v, valid = self._case(rng, n, d, 0.2)
+        level = kernel_inputs(FeatureMap(values), np.zeros((n, d)), K_16x12)
+        ids, res, norms, corners, fu, fv = _sample_residuals(level, u, v, valid, True)
+        pts = rng.normal(size=(ids.size, 3))
+        pts[:, 2] = np.abs(pts[:, 2]) + 2.0 * Z_MIN
+        ev = _ValidEval(ids, corners, fu, fv, res.T, norms, pts, 0.0)
+        k = K_16x12
+        want = _stencil(values, u[valid], v[valid]).gradients() @ pose_twist_jacobian(pts, k)
+        _same(_stencil_jacobian(ev, k), want)
 
 
 class TestProjectPlanes:

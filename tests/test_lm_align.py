@@ -29,7 +29,7 @@ from featalign.geometry import (
     se3_exp,
     warp_points,
 )
-from featalign import lm_align
+from featalign import lm_align, pose_init
 from featalign.lm_align import (
     AlignmentError,
     DegenerateSystemError,
@@ -40,8 +40,8 @@ from featalign.lm_align import (
     _evaluate,
     _huber,
     _level_inputs,
+    _sample_residuals,
     _stencil_jacobian,
-    _valid_norms,
     align_coarse_to_fine,
     align_level,
     build_normal_equations,
@@ -55,7 +55,7 @@ from featalign.lm_align import (
 )
 from featalign.synth import SceneConfig, build_pair, generate_scene, sample_pose_perturbation
 
-from solver_helpers import damp
+from solver_helpers import damp, kernel_inputs
 
 
 def _K64():
@@ -211,18 +211,18 @@ class TestPerLevelKernel:
     def test_level_inputs_reused_across_poses_match_compute_residuals(self):
         ref, tgt, uv, depths, poses = self._scene()
         k = _K64()
-        level = _level_inputs(ref, uv, depths, k)
+        level = _level_inputs(ref, tgt, uv, depths, k)
         for pose in poses:
             want = compute_residuals(ref, tgt, uv, depths, pose, k)
             assert 0 < want.n_valid < len(uv)
             # The solver's compact evaluation holds exactly the valid rows.
-            got = _evaluate(level, tgt, pose, k, 0.3, 2.0)
+            got = _evaluate(level, pose, k, 0.3, 2.0)
             assert got.energy == want.energy
             assert got.n_valid == want.n_valid
             assert got.ids.tobytes() == np.flatnonzero(want.valid).tobytes()
             for name in ("residuals", "norms", "transformed"):
                 assert getattr(got, name).tobytes() == getattr(want, name)[want.valid].tobytes()
-            assert got.stencil.corners.tobytes() == want.stencil.corners.tobytes()
+            assert got.corners.tobytes() == want.corners.tobytes()
             assert not want.residuals[~want.valid].any()
             assert not want.norms[~want.valid].any()
 
@@ -246,7 +246,7 @@ class TestPerLevelKernel:
             want = compute_residuals(ref, tgt, uv, depths, pose, k)
             assert want.warped.tobytes() == warped.tobytes()
             assert want.transformed.tobytes() == transformed.tobytes()
-            got = _evaluate(_level_inputs(ref, uv, depths, k), tgt, pose, k, 0.3, 2.0)
+            got = _evaluate(_level_inputs(ref, tgt, uv, depths, k), pose, k, 0.3, 2.0)
             assert got.transformed.tobytes() == transformed[got.ids].tobytes()
             in_ref = in_margins(uv, ref.width, ref.height, SAMPLE_MARGIN)
             assert np.array_equal(want.valid, valid & in_ref)
@@ -255,13 +255,13 @@ class TestPerLevelKernel:
     def test_norms_core_matches_full_kernel(self):
         ref, tgt, uv, depths, poses = self._scene()
         k = _K64()
-        level = _level_inputs(ref, uv, depths, k)
+        level = _level_inputs(ref, tgt, uv, depths, k)
         # The oracle stacks one-pose rows, so it shares no code with the
         # many-pose planes the core is fed in the seed grid.
         rows = [compute_residuals(ref, tgt, uv, depths, pose, k, margin=3.0) for pose in poses]
         u, v = np.stack([row.warped for row in rows]).transpose(2, 0, 1)
         valid = np.stack([row.valid for row in rows])
-        core = _valid_norms(level.ref_vals, tgt, u, v, valid)
+        core = grid_norms(level.ref.T, tgt, u, v, valid, k)
         assert core.tobytes() == np.stack([row.norms for row in rows]).tobytes()
 
     @pytest.mark.parametrize("extent", [(65, 64), (64, 65), (80, 80)])
@@ -296,22 +296,24 @@ class TestPerLevelKernel:
     def test_stencil_jacobian_matches_compute_jacobian(self):
         ref, tgt, uv, depths, poses = self._scene()
         k = _K64()
+        level = _level_inputs(ref, tgt, uv, depths, k)
         warp_only = 0
         for pose in poses:
-            ev = compute_residuals(ref, tgt, uv, depths, pose, k)
+            valid = compute_residuals(ref, tgt, uv, depths, pose, k).valid
             jac, jac_valid = compute_jacobian(tgt, uv, depths, pose, k)
-            assert not (ev.valid & ~jac_valid).any()
-            warp_only += int((jac_valid & ~ev.valid).sum())
-            got = _stencil_jacobian(ev.stencil, ev.transformed[ev.valid], k)
-            assert got.tobytes() == jac[ev.valid].tobytes()
+            assert not (valid & ~jac_valid).any()
+            warp_only += int((jac_valid & ~valid).sum())
+            ev = _evaluate(level, pose, k, 0.3, 2.0)
+            got = _stencil_jacobian(ev, k)
+            assert got.tobytes() == jac[valid].tobytes()
         assert warp_only > 0
 
 
 class TestTrimmedFormulas:
     """The solver's norms, energy and damping against the NumPy formulas
-    they spell out, byte for byte: ``np.linalg.norm(res, axis=1)``,
-    ``np.sum`` of the Huber penalties and the Marquardt floor as ``damp``
-    first wrote it."""
+    they spell out, byte for byte: the squares summed in channel order
+    (``np.linalg.norm(res, axis=1)`` below 8 channels), ``np.sum`` of the
+    Huber penalties and the Marquardt floor as ``damp`` first wrote it."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
@@ -330,12 +332,20 @@ class TestTrimmedFormulas:
         depths = rng.uniform(1.0, 3.0, size=points)
         # A shift of 100 moves every point out of the image: zero valid points.
         pose = SE3Pose(se3_exp(rng.uniform(-0.05, 0.05, size=6)).rotation, [shift, 0.0, 0.0])
-        level = _level_inputs(ref, uv, depths, k)
+        level = _level_inputs(ref, tgt, uv, depths, k)
         gamma = float(rng.choice([1e-3, 0.3, 1e3])) * scale
-        got = _evaluate(level, tgt, pose, k, gamma, 2.0)
+        got = _evaluate(level, pose, k, gamma, 2.0)
+        squares = np.zeros(got.n_valid)
+        for column in got.residuals.T:
+            squares += column * column
+        assert got.norms.tobytes() == np.sqrt(squares).tobytes()
         norms = np.linalg.norm(got.residuals, axis=1)
-        assert got.norms.tobytes() == norms.tobytes()
-        assert got.energy == float(np.sum(_huber(norms, gamma)))
+        if channels < 8:
+            assert got.norms.tobytes() == norms.tobytes()
+        else:
+            # np.linalg.norm sums 8 or more squares pairwise.
+            assert np.all(np.abs(got.norms - norms) <= 4 * np.spacing(norms))
+        assert got.energy == float(np.sum(_huber(got.norms, gamma)))
         if shift == 100.0:
             assert got.n_valid == 0 and got.energy == 0.0
 
@@ -407,10 +417,18 @@ class TestPerLayerCalls:
         assert calls["boxplus"] == sum(rec.candidate_energy is not None for rec in trace)
 
 
+def grid_norms(ref_vals, tgt, u, v, valid, intrinsics):
+    """The seed grid's (M, n) residual norms of (n, D) reference samples at
+    the target pixels of an (M, n) mask, zero where invalid."""
+    ids, _, kept, *_ = _sample_residuals(kernel_inputs(tgt, ref_vals, intrinsics), u, v, valid)
+    norms = np.zeros(valid.shape)
+    norms.reshape(-1)[ids] = kept
+    return norms
+
+
 def stencil_norms_oracle(ref_vals, tgt, u, v, valid):
-    """The seed's residual norms over the solver's stencil path, as
-    ``_valid_norms`` computed them before it read one channel plane at a
-    time: ``_stencil``'s (k, 4, D) corners, ``Stencil.values()``' einsum and
+    """The seed's residual norms over the solver's earlier stencil path:
+    ``_stencil``'s (k, 4, D) corners, ``Stencil.values()``' einsum and
     ``np.linalg.norm``. Also returns the stencil and the reference rows."""
     flat = np.flatnonzero(valid)
     stencil = _stencil(tgt.values, u.reshape(-1)[flat], v.reshape(-1)[flat])
@@ -450,7 +468,7 @@ class TestPlanarNorms:
         v[on_v] = rng.choice([margin, h - 1 - margin], size=on_v.sum())
         valid = usable & (z > Z_MIN) & in_margins(np.stack([u, v], axis=-1), w, h, margin)
 
-        got = _valid_norms(ref_vals, tgt, u, v, valid)
+        got = grid_norms(ref_vals, tgt, u, v, valid, k)
         want, stencil, ref = stencil_norms_oracle(ref_vals, tgt, u, v, valid)
         assert not got[~valid].any()
         if 2 <= channels <= 7:
@@ -464,6 +482,65 @@ class TestPlanarNorms:
         magnitude = np.zeros(valid.shape)
         magnitude[valid] = np.linalg.norm(np.abs(stencil.corners).max(axis=1) + np.abs(ref), axis=1)
         assert np.all(np.abs(got - want) <= 4 * np.spacing(magnitude))
+
+
+class TestSeedEqualsSolver:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        channels=st.sampled_from([1, 2, 3, 7, 8, 16]),
+        points=st.integers(1, 40),
+        on_nodes=st.booleans(),
+        shift=st.sampled_from([0.0, 0.5, 100.0]),
+        margin=st.sampled_from([1.0, 2.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_seed_norms_equal_solver_norms(self, channels, points, on_nodes, shift, margin, seed):
+        """A one-row seed grid's norms are ``_evaluate``'s, byte for byte."""
+        rng = np.random.default_rng(seed)
+        k = CameraIntrinsics(fx=16.0, fy=16.0, cx=8.0, cy=8.0, width=16, height=16)
+        ref = FeatureMap(rng.normal(size=(16, 16, channels)))
+        values = rng.normal(size=(16, 16, channels))
+        zeros = rng.random(values.shape) < 0.2
+        values[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+        tgt = FeatureMap(values)
+        if on_nodes:
+            # Power-of-two intrinsics and depths warp integer pixels onto
+            # grid nodes exactly: zero cell fractions, zero corner weights.
+            uv = rng.integers(2, 14, size=(points, 2)).astype(np.float64)
+            depths = 2.0 ** rng.integers(0, 3, size=points)
+            pose = SE3Pose(np.eye(3), [0.0, 0.0, 0.0])
+        else:
+            uv = rng.uniform(0.0, 15.0, size=(points, 2))
+            depths = rng.uniform(1.0, 3.0, size=points)
+            pose = se3_exp(rng.uniform(-0.05, 0.05, size=6))
+        # A shift of 100 moves every point out of the image: an empty row.
+        pose = SE3Pose(pose.rotation, pose.translation + [shift, 0.0, 0.0])
+        level = _level_inputs(ref, tgt, uv, depths, k)
+        config = LMConfig(margin=margin, min_valid_points=1)
+
+        seen = []
+        real = pose_init._sample_residuals
+
+        def recording(*args, **kwargs):
+            out = real(*args, **kwargs)
+            seen.append(out[:3])
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pose_init, "_sample_residuals", recording)
+            pose_init._grid_energies(
+                level, pose.rotation[None], np.zeros(1, dtype=np.intp),
+                pose.translation[None], k, config,
+            )
+        (ids, residuals, norms), = seen
+        want = _evaluate(level, pose, k, config.huber_gamma, margin)
+        assert ids.tobytes() == want.ids.tobytes()
+        assert residuals.T.tobytes() == want.residuals.tobytes()
+        assert norms.dtype == want.norms.dtype and norms.tobytes() == want.norms.tobytes()
+        if shift == 100.0:
+            assert want.n_valid == 0
+        elif on_nodes and shift == 0.0:
+            assert want.n_valid == points and not want.fu.any() and not want.fv.any()
 
 
 class TestNormalEquations:

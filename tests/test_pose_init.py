@@ -188,16 +188,16 @@ class TestCandidateEnergy:
 
 def level1_inputs(pair):
     return _level_inputs(
-        pair.ref_pyramid.level(1), pair.points.at_level(1), pair.points.depths,
-        pair.intrinsics.at_level(1),
+        pair.ref_pyramid.level(1), pair.tgt_pyramid.level(1), pair.points.at_level(1),
+        pair.points.depths, pair.intrinsics.at_level(1),
     )
 
 
 def grid_energies(pair, rotations, rot_index, translations, lm_config):
     """``_grid_energies`` of a pair's coarsest level."""
     return _grid_energies(
-        level1_inputs(pair), pair.tgt_pyramid.level(1), rotations, rot_index, translations,
-        pair.intrinsics.at_level(1), lm_config,
+        level1_inputs(pair), rotations, rot_index, translations, pair.intrinsics.at_level(1),
+        lm_config,
     )
 
 
@@ -240,13 +240,13 @@ class TestGridBlocks:
         expected = one_shot_energies(large_pair, rotations, translations, lm)
 
         rows = []
-        real = pose_init._valid_norms
+        real = pose_init._sample_residuals
 
-        def recording(ref_vals, tgt, u, *rest):
+        def recording(target, ref, u, *rest):
             rows.append(u.shape[0])
-            return real(ref_vals, tgt, u, *rest)
+            return real(target, ref, u, *rest)
 
-        monkeypatch.setattr(pose_init, "_valid_norms", recording)
+        monkeypatch.setattr(pose_init, "_sample_residuals", recording)
         energies = grid_energies(large_pair, rotations, np.arange(m), translations, lm)
         assert energies.tobytes() == expected.tobytes()
         assert rows == [block] * (m // block) + ([m % block] if m % block else [])
@@ -315,7 +315,7 @@ class TestBoundedSearch:
         real = pose_init._grid_energies
 
         def recording(*args):
-            rows.append(args[3].shape[0])
+            rows.append(args[2].shape[0])
             return real(*args)
 
         monkeypatch.setattr(pose_init, "_grid_energies", recording)
@@ -354,7 +354,7 @@ class TestBoundedSearch:
         args, row = calls[0]
         exact = _grid_energies(*args)
         assert row == int(np.argmin(exact))
-        rotations, rot_index, translations = args[2:5]
+        rotations, rot_index, translations = args[1:4]
         np.testing.assert_array_equal(pose.rotation, rotations[rot_index[row]])
         np.testing.assert_array_equal(pose.translation, translations[row])
 
@@ -429,7 +429,7 @@ class TestCorrPoseInit:
         lm = LMConfig(huber_gamma=0.05, min_valid_points=6, margin=3.0)
         corr_pose_init(pair.ref_pyramid, pair.tgt_pyramid, pair.points, pair.intrinsics, lm_config=lm)
         assert len(calls) == 1
-        rotations, rot_index, translations, _, lm_config = calls[0][2:]
+        rotations, rot_index, translations, _, lm_config = calls[0][1:]
         assert rot_index.shape == (1 + 81 * 125,) and translations.shape == (1 + 81 * 125, 3)
         assert rotations.shape == (1 + 81, 3, 3)
         np.testing.assert_array_equal(rotations[rot_index[0]], np.eye(3))
@@ -442,7 +442,7 @@ class TestCorrPoseInit:
         real = pose_init._best_row
 
         def recording(*args):
-            rows.append(args[3].shape[0])
+            rows.append(args[2].shape[0])
             return real(*args)
 
         monkeypatch.setattr(pose_init, "_best_row", recording)
@@ -456,13 +456,13 @@ class TestCorrPoseInit:
         real = pose_init._grid_energies
         picked = []
 
-        def tied(level, tgt, rotations, rot_index, translations, *rest):
-            energies = real(level, tgt, rotations, rot_index, translations, *rest)
+        def tied(level, rotations, rot_index, translations, *rest):
+            energies = real(level, rotations, rot_index, translations, *rest)
             if not picked:
                 # The search's first call scores identity first, with the
                 # best grid pose's energy or one ulp above it.
                 assert rot_index[0] == 0 and not translations[0].any()
-                everything = real(level, tgt, rotations, *searched, *rest)
+                everything = real(level, rotations, *searched, *rest)
                 best = 1 + int(np.argmin(everything[1:]))
                 picked.append(SE3Pose(rotations[searched[0][best]], searched[1][best]))
                 top = everything[best]
@@ -472,9 +472,9 @@ class TestCorrPoseInit:
         searched = []
         real_search = pose_init._best_row
 
-        def search(level, tgt, rotations, rot_index, translations, *rest):
+        def search(level, rotations, rot_index, translations, *rest):
             searched.extend([rot_index, translations])
-            return real_search(level, tgt, rotations, rot_index, translations, *rest)
+            return real_search(level, rotations, rot_index, translations, *rest)
 
         monkeypatch.setattr(pose_init, "_grid_energies", tied)
         monkeypatch.setattr(pose_init, "_best_row", search)
